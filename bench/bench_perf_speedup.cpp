@@ -4,17 +4,19 @@
 // micro-benchmarks.
 //
 // Before the google-benchmark suite runs, a fixed stage list is wall-clock
-// timed against the pre-refactor baseline configuration (dense solver,
-// single thread) and written as machine-readable BENCH_perf.json
-// ({"threads": N, "stages": {"<name>": {"baseline_ms", "current_ms",
-// "speedup"}, ...}}) for CI trend tracking; set MCSM_BENCH_JSON to change
-// the path, or =0 to skip.
+// timed and written as machine-readable BENCH_perf.json ({"threads": N,
+// "stages": {"<name>": {"current_ms", ...}, ...}}) for CI trend tracking;
+// stages with an in-tree comparison (per-device vs batched assembly,
+// per-RHS vs blocked solves, serial vs parallel characterization, fixed
+// grid vs adaptive transient) also carry "baseline_ms" and "speedup". Set
+// MCSM_BENCH_JSON to change the path, or =0 to skip.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -135,15 +137,12 @@ void BM_ModelDcState(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelDcState)->Unit(benchmark::kMicrosecond);
 
-// --- BENCH_perf.json: per-stage wall clock vs the pre-refactor baseline ---
+// --- BENCH_perf.json: per-stage wall clock -------------------------------
 
-using spice::SolverBackend;
-
-// One stage timed in two configurations: "baseline" is the retained
-// pre-refactor solver path (dense LU, fresh assembly, single thread),
-// "current" is the persistent sparse workspace with parallel sweeps.
-// The measurements themselves live in bench_util so bench_solver_core's
-// report and this JSON stay in lockstep.
+// One stage: "current" is the production configuration, "baseline" (when
+// present) the in-tree alternative it is compared against. The
+// measurements themselves live in bench_util so bench_solver_core's report
+// and this JSON stay in lockstep.
 //
 // Every stage reports min-of-N (the gate/headline number, robust to
 // scheduler noise) and mean-of-N (the spread indicator). Micro-stages
@@ -151,7 +150,7 @@ using spice::SolverBackend;
 // report that average for both.
 struct Stage {
     std::string name;
-    bench::BenchTiming baseline;
+    std::optional<bench::BenchTiming> baseline;
     bench::BenchTiming current;
 };
 
@@ -163,30 +162,26 @@ bench::BenchTiming avg_as_timing(double ms) {
     return t;
 }
 
-bench::BenchTiming newton_cycle_ms(Context& ctx, int stages,
-                                   SolverBackend backend) {
-    return avg_as_timing(
-        bench::time_newton_cycle_us(ctx.lib(), stages, backend) * 1e-3);
+bench::BenchTiming newton_cycle_ms(Context& ctx, int stages) {
+    return avg_as_timing(bench::time_newton_cycle_us(ctx.lib(), stages) *
+                         1e-3);
 }
 
-bench::BenchTiming golden_transient_ms(Context& ctx, int stages,
-                                       SolverBackend backend) {
+bench::BenchTiming golden_transient_ms(Context& ctx, int stages) {
     bench::BenchTiming t;
-    bench::time_chain_transient_ms(ctx.lib(), stages, backend, nullptr, &t);
+    bench::time_chain_transient_ms(ctx.lib(), stages, nullptr, &t);
     return t;
 }
 
-bench::BenchTiming dc_sweep_ms(Context& ctx, SolverBackend backend) {
+bench::BenchTiming dc_sweep_ms(Context& ctx) {
     bench::BenchTiming t;
-    bench::time_dc_sweep_ms(ctx.lib(), backend, &t);
+    bench::time_dc_sweep_ms(ctx.lib(), &t);
     return t;
 }
 
-bench::BenchTiming characterize_ms(Context& ctx, SolverBackend backend,
-                                   std::size_t threads) {
+bench::BenchTiming characterize_ms(Context& ctx, std::size_t threads) {
     core::CharOptions opt = ctx.char_options(7);
     opt.transient_caps = false;
-    opt.backend = backend;
     opt.threads = threads;
     bench::BenchTiming t;
     bench::time_characterize_nor2_ms(ctx.lib(), opt, &t);
@@ -201,12 +196,10 @@ void write_bench_perf_json() {
 
     Context& ctx = Context::get();
     std::vector<Stage> stages;
-    stages.push_back({"newton_cycle_12cell",
-                      newton_cycle_ms(ctx, 12, SolverBackend::kDense),
-                      newton_cycle_ms(ctx, 12, SolverBackend::kSparse)});
-    stages.push_back({"newton_cycle_48cell",
-                      newton_cycle_ms(ctx, 48, SolverBackend::kDense),
-                      newton_cycle_ms(ctx, 48, SolverBackend::kSparse)});
+    stages.push_back(
+        {"newton_cycle_12cell", std::nullopt, newton_cycle_ms(ctx, 12)});
+    stages.push_back(
+        {"newton_cycle_48cell", std::nullopt, newton_cycle_ms(ctx, 48)});
     // Device-evaluation pass alone (assembly, no solve): the virtual
     // per-device scalar loop vs the batched SoA evaluate-and-stamp, both
     // writing the same CSR workspace.
@@ -232,30 +225,24 @@ void write_bench_perf_json() {
          avg_as_timing(bench::time_multi_rhs_us(ctx.lib(), 12, 32, true) *
                        1e-3)});
     // Characterization-style DC bias sweep (all modeled nodes forced,
-    // 6^4 grid): dense point-by-point baseline vs sparse blocked sweep.
-    stages.push_back({"dc_sweep_nor2_1296pt",
-                      dc_sweep_ms(ctx, SolverBackend::kDense),
-                      dc_sweep_ms(ctx, SolverBackend::kSparse)});
-    stages.push_back({"transient_12cell",
-                      golden_transient_ms(ctx, 12, SolverBackend::kDense),
-                      golden_transient_ms(ctx, 12, SolverBackend::kSparse)});
-    stages.push_back({"transient_48cell",
-                      golden_transient_ms(ctx, 48, SolverBackend::kDense),
-                      golden_transient_ms(ctx, 48, SolverBackend::kSparse)});
-    stages.push_back({"characterize_nor2_mcsm_g7",
-                      characterize_ms(ctx, SolverBackend::kDense, 1),
-                      characterize_ms(ctx, SolverBackend::kSparse, 0)});
-    // Transient fast path: dense fixed-grid baseline (the seed solver
-    // configuration) vs LTE-adaptive stepping + Jacobian reuse on the
-    // sparse workspace.
+    // 6^4 grid) through the blocked solve_dc_sweep.
+    stages.push_back(
+        {"dc_sweep_nor2_1296pt", std::nullopt, dc_sweep_ms(ctx)});
+    const bench::BenchTiming fixed_48 = golden_transient_ms(ctx, 48);
+    stages.push_back(
+        {"transient_12cell", std::nullopt, golden_transient_ms(ctx, 12)});
+    stages.push_back({"transient_48cell", std::nullopt, fixed_48});
+    // Serial vs parallel characterization fan-out.
+    stages.push_back({"characterize_nor2_mcsm_g7", characterize_ms(ctx, 1),
+                      characterize_ms(ctx, 0)});
+    // Transient fast path: the fixed 2 ps grid vs LTE-adaptive stepping +
+    // Jacobian reuse.
     double reuse_rate = 0.0;
     bench::BenchTiming adaptive;
     bench::time_chain_transient_fast_ms(ctx.lib(), 48,
                                         /*reuse_jacobian=*/true, &reuse_rate,
                                         nullptr, &adaptive);
-    stages.push_back({"transient_adaptive_48",
-                      golden_transient_ms(ctx, 48, SolverBackend::kDense),
-                      adaptive});
+    stages.push_back({"transient_adaptive_48", fixed_48, adaptive});
 
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -270,14 +257,16 @@ void write_bench_perf_json() {
                  hardware_threads());
     for (std::size_t i = 0; i < stages.size(); ++i) {
         const Stage& s = stages[i];
-        std::fprintf(f,
-                     "    \"%s\": {\"baseline_ms\": %.4f, "
-                     "\"current_ms\": %.4f, \"baseline_mean_ms\": %.4f, "
-                     "\"current_mean_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                     s.name.c_str(), s.baseline.min_ms, s.current.min_ms,
-                     s.baseline.mean_ms, s.current.mean_ms,
-                     s.baseline.min_ms / s.current.min_ms,
-                     i + 1 < stages.size() ? "," : "");
+        std::fprintf(f, "    \"%s\": {\"current_ms\": %.4f, "
+                        "\"current_mean_ms\": %.4f",
+                     s.name.c_str(), s.current.min_ms, s.current.mean_ms);
+        if (s.baseline)
+            std::fprintf(f,
+                         ", \"baseline_ms\": %.4f, \"baseline_mean_ms\": "
+                         "%.4f, \"speedup\": %.3f",
+                         s.baseline->min_ms, s.baseline->mean_ms,
+                         s.baseline->min_ms / s.current.min_ms);
+        std::fprintf(f, "}%s\n", i + 1 < stages.size() ? "," : "");
     }
     // SIMD lane-kernel block: pure full-batch EKV evaluation on the 48-cell
     // chain, scalar fast kernel vs the dispatched lane kernel (best-of-5;
@@ -300,12 +289,15 @@ void write_bench_perf_json() {
     std::fprintf(f, "  \"jacobian_reuse_rate\": %.4f\n}\n", reuse_rate);
     std::fclose(f);
     std::printf("# wrote %s\n", path.c_str());
-    for (const Stage& s : stages)
-        std::printf("#   %-28s baseline %8.3f ms   current %8.3f ms   "
-                    "speedup %5.2fx   (means %8.3f / %8.3f)\n",
-                    s.name.c_str(), s.baseline.min_ms, s.current.min_ms,
-                    s.baseline.min_ms / s.current.min_ms, s.baseline.mean_ms,
-                    s.current.mean_ms);
+    for (const Stage& s : stages) {
+        std::printf("#   %-28s current %8.3f ms (mean %8.3f)",
+                    s.name.c_str(), s.current.min_ms, s.current.mean_ms);
+        if (s.baseline)
+            std::printf("   baseline %8.3f ms (mean %8.3f)   speedup %5.2fx",
+                        s.baseline->min_ms, s.baseline->mean_ms,
+                        s.baseline->min_ms / s.current.min_ms);
+        std::printf("\n");
+    }
     std::printf("#   simd ekv_kernel_48 w=%d (%s)  scalar %8.3f ms   lanes "
                 "%8.3f ms   speedup %5.2fx\n",
                 spice::ekv_lane_width(), spice::ekv_lane_kernel_name(),

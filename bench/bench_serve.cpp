@@ -196,40 +196,9 @@ int main() {
     const double exact_ms =
         wall_ms([&] { exact_results = service.run_batch(exact_batch); });
     const double exact_qps = 1e3 * static_cast<double>(exact_n) / exact_ms;
-
-    // Exact path on the legacy fixed-dt grid: the same queries through a
-    // service with adaptive_tran off. The exact path never touches the
-    // surfaces, so no warmup batch is needed.
-    serve::ServeOptions fixed_opt = sopt;
-    fixed_opt.adaptive_tran = false;
-    serve::TimingService fixed_service(repo, fixed_opt);
-    std::vector<serve::TimingResult> exact_fixed;
-    const double exact_fixed_ms =
-        wall_ms([&] { exact_fixed = fixed_service.run_batch(exact_batch); });
-    const double exact_qps_fixed =
-        1e3 * static_cast<double>(exact_n) / exact_fixed_ms;
-    check.check(exact_ms < exact_fixed_ms,
-                "adaptive exact path beats the fixed-dt grid");
-    {
-        // Per-query agreement between the two stepping regimes, same
-        // tolerance shape as the golden gate: max(5%, 2 ps).
-        double worst = 0.0;
-        std::size_t compared = 0;
-        for (std::size_t i = 0; i < exact_n; ++i) {
-            if (!exact_results[i].valid || !exact_fixed[i].valid) continue;
-            ++compared;
-            const double want = exact_fixed[i].delay;
-            worst = std::max(worst,
-                             std::abs(exact_results[i].delay - want) /
-                                 std::max(2e-12, 0.05 * std::abs(want)));
-        }
-        check.check(compared == exact_n,
-                    "every exact query evaluated on both stepping regimes");
-        check.check(worst < 1.0,
-                    "adaptive exact delays within max(5%, 2 ps) of the "
-                    "fixed grid (worst " + std::to_string(worst) +
-                        " of bound)");
-    }
+    std::size_t exact_valid = 0;
+    for (const auto& r : exact_results) exact_valid += r.valid ? 1 : 0;
+    check.check(exact_valid == exact_n, "every exact query succeeded");
 
     // --- 3-pin MIS arcs: characterize-on-miss + surface build + warm LUT --
     const auto mis3_query = [](std::size_t i) {
@@ -468,9 +437,9 @@ int main() {
                 load_text_ms, load_bin_ms, load_text_ms / load_bin_ms);
     std::printf("# serve: surfaces built in %.1f ms; warm LUT batch %zu "
                 "queries -> %.0f q/s (%zu threads), %.0f q/s serial; exact "
-                "transient path %.0f q/s (fixed grid %.0f q/s)\n",
+                "transient path %.0f q/s\n",
                 surface_build_ms, batch_n, warm_qps, hardware_threads(),
-                serial_qps, exact_qps, exact_qps_fixed);
+                serial_qps, exact_qps);
     std::printf("# serve/mis3: cold 3-pin query (6-D characterize + "
                 "surface) %.0f ms; warm 3-pin LUT %.0f q/s\n",
                 mis3_cold_ms, mis3_qps);
@@ -507,10 +476,8 @@ int main() {
             f,
             "  \"timing_service\": {\"surface_build_ms\": %.2f, "
             "\"warm_batch_size\": %zu, \"warm_lut_qps\": %.0f, "
-            "\"warm_lut_qps_serial\": %.0f, \"exact_qps\": %.0f, "
-            "\"exact_qps_fixed_grid\": %.0f},\n",
-            surface_build_ms, batch_n, warm_qps, serial_qps, exact_qps,
-            exact_qps_fixed);
+            "\"warm_lut_qps_serial\": %.0f, \"exact_qps\": %.0f},\n",
+            surface_build_ms, batch_n, warm_qps, serial_qps, exact_qps);
         std::fprintf(f,
                      "  \"mis3\": {\"cold_first_query_ms\": %.1f, "
                      "\"warm_lut_qps\": %.0f},\n",

@@ -7,8 +7,8 @@
 
 namespace mcsm {
 
-void solve_lu_into(DenseMatrix& a, std::vector<double>& b,
-                   std::vector<double>& x, double pivot_floor) {
+std::vector<double> solve_lu_in_place(DenseMatrix& a, std::vector<double>& b,
+                                      double pivot_floor) {
     const std::size_t n = a.rows();
     require(a.cols() == n, "solve_lu: matrix must be square");
     require(b.size() == n, "solve_lu: rhs size mismatch");
@@ -45,18 +45,12 @@ void solve_lu_into(DenseMatrix& a, std::vector<double>& b,
         }
     }
 
-    x.assign(n, 0.0);
+    std::vector<double> x(n, 0.0);
     for (std::size_t ri = n; ri-- > 0;) {
         double acc = b[ri];
         for (std::size_t c = ri + 1; c < n; ++c) acc -= a.at(ri, c) * x[c];
         x[ri] = acc / a.at(ri, ri);
     }
-}
-
-std::vector<double> solve_lu_in_place(DenseMatrix& a, std::vector<double>& b,
-                                      double pivot_floor) {
-    std::vector<double> x;
-    solve_lu_into(a, b, x, pivot_floor);
     return x;
 }
 

@@ -18,11 +18,6 @@ std::vector<double> solve_lu_in_place(DenseMatrix& a, std::vector<double>& b,
 std::vector<double> solve_lu(DenseMatrix a, std::vector<double> b,
                              double pivot_floor = 1e-30);
 
-// Allocation-free variant for hot loops: factors a/b in place and writes
-// the solution into x (only resized on first use at a given dimension).
-void solve_lu_into(DenseMatrix& a, std::vector<double>& b,
-                   std::vector<double>& x, double pivot_floor = 1e-30);
-
 }  // namespace mcsm
 
 #endif  // MCSM_COMMON_LINEAR_SOLVER_H

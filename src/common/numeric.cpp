@@ -26,12 +26,6 @@ double logistic(double x) {
     return e / (1.0 + e);
 }
 
-#ifdef MCSM_NO_FAST_EKV
-
-SpSig softplus_logistic_fast(double x) { return softplus_logistic_ref(x); }
-
-#else
-
 namespace {
 
 // Both softplus and logistic reduce to one exponential of -|x|:
@@ -106,8 +100,6 @@ SpSig softplus_logistic_fast(double x) {
                     : log_y(1.0 + z);
     return {std::max(x, 0.0) + l1p, x >= 0.0 ? inv : z * inv};
 }
-
-#endif  // MCSM_NO_FAST_EKV
 
 double smooth_abs(double x, double eps) {
     return std::sqrt(x * x + eps * eps) - eps;

@@ -24,8 +24,7 @@
 // resolution is a pure function so the policy is unit-testable without
 // faking cpuid.
 //
-// Build gating: -DMCSM_SIMD=OFF (or MCSM_FAST_EKV=OFF, whose libm kernel
-// the lane tier does not reimplement) compiles the vector TUs out entirely;
+// Build gating: -DMCSM_SIMD=OFF compiles the vector TUs out entirely;
 // compiled_in() reports which flavor this build is.
 #ifndef MCSM_COMMON_SIMD_H
 #define MCSM_COMMON_SIMD_H
@@ -47,7 +46,7 @@
 namespace mcsm::simd {
 
 // True when the vector lane kernels are part of this build (MCSM_SIMD=ON,
-// fast EKV kernel on, x86-64 toolchain with AVX2 support available).
+// x86-64 toolchain with AVX2 support available).
 constexpr bool compiled_in() {
 #ifdef MCSM_SIMD_ENABLED
     return true;

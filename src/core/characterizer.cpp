@@ -47,12 +47,20 @@ struct Fixture {
     }
 };
 
+// LTE-adaptive stepping + Jacobian reuse for one cap-extraction ramp.
+// Current samples feed finite-difference cap extraction: keep the record
+// grid dense enough that interpolating between accepted steps stays below
+// the averaging noise.
+spice::TranOptions ramp_tran_options(double tstop, double dt) {
+    spice::TranOptions topt = spice::fast_tran_options(tstop, dt);
+    topt.dt_max = 8.0 * dt;
+    return topt;
+}
+
 Fixture build_fixture(const cells::CellLibrary& lib, const CellType& cell,
                       const std::vector<std::string>& switching_pins,
-                      bool force_internals, bool force_out, double out_level,
-                      spice::SolverBackend backend) {
+                      bool force_internals, bool force_out, double out_level) {
     Fixture f;
-    f.circuit.set_solver_backend(backend);
     const double vdd = lib.tech().vdd;
     const int vdd_node = f.circuit.node("vdd");
     f.circuit.add_vsource("VDD", vdd_node, Circuit::kGround,
@@ -264,18 +272,8 @@ void extract_caps_transient(CsmModel& model, const cells::CellLibrary& lib,
             cfx.circuit.vsource(cfx.source_of_axis(r, n_pins))
                 .set_spec(SourceSpec::pwl(
                     wave::saturated_ramp(t0, ramp_time, lo, hi)));
-            spice::TranOptions topt;
-            if (opt.adaptive_tran) {
-                topt = spice::fast_tran_options(t0 + ramp_time + 20e-12,
-                                                opt.dt);
-                // Current samples feed finite-difference cap extraction:
-                // keep the record grid dense enough that interpolating
-                // between accepted steps stays below the averaging noise.
-                topt.dt_max = 8.0 * opt.dt;
-            } else {
-                topt.tstop = t0 + ramp_time + 20e-12;
-                topt.dt = opt.dt;
-            }
+            const spice::TranOptions topt =
+                ramp_tran_options(t0 + ramp_time + 20e-12, opt.dt);
             // Per-knot transient span: cold 6-D surface builds spend their
             // time here, so each ramp shows up individually in a trace.
             const obs::Span ramp_span("char.cap_ramp");
@@ -368,7 +366,7 @@ void extract_caps_transient(CsmModel& model, const cells::CellLibrary& lib,
                     worker_fx[w].emplace(
                         build_fixture(lib, cell, switching_pins,
                                       force_internals,
-                                      /*force_out=*/true, 0.0, opt.backend));
+                                      /*force_out=*/true, 0.0));
                 }
                 Fixture& wfx = *worker_fx[w];
                 for (; i < combos.size();
@@ -449,7 +447,7 @@ void extract_input_caps(CsmModel& model, const cells::CellLibrary& lib,
 
         Fixture fx = build_fixture(lib, cell, switching_pins,
                                    /*force_internals=*/false,
-                                   /*force_out=*/true, 0.0, opt.backend);
+                                   /*force_out=*/true, 0.0);
         // Park the other switching pins at their non-controlling levels.
         for (std::size_t q = 0; q < switching_pins.size(); ++q) {
             if (q == p) continue;
@@ -468,15 +466,8 @@ void extract_input_caps(CsmModel& model, const cells::CellLibrary& lib,
                 fx.circuit.vsource(fx.pin_sources[p])
                     .set_spec(SourceSpec::pwl(
                         wave::saturated_ramp(t0, ramp_time, lo, hi)));
-                spice::TranOptions topt;
-                if (opt.adaptive_tran) {
-                    topt = spice::fast_tran_options(
-                        t0 + ramp_time + 20e-12, opt.dt);
-                    topt.dt_max = 8.0 * opt.dt;
-                } else {
-                    topt.tstop = t0 + ramp_time + 20e-12;
-                    topt.dt = opt.dt;
-                }
+                const spice::TranOptions topt =
+                    ramp_tran_options(t0 + ramp_time + 20e-12, opt.dt);
                 const obs::Span ramp_span("char.cin_ramp");
                 const spice::TranResult res =
                     spice::solve_tran(fx.circuit, topt);
@@ -562,7 +553,7 @@ CsmModel Characterizer::characterize(
     const std::size_t n_int = model.internals.size();
 
     Fixture fx = build_fixture(*lib_, cell, switching_pins, model_internals,
-                               /*force_out=*/true, 0.0, options.backend);
+                               /*force_out=*/true, 0.0);
 
     // --- current sources: DC sweep ------------------------------------------
     model.i_out = lut::NdTable(axes, "Io");
@@ -713,8 +704,7 @@ CsmModel Characterizer::characterize(
             if (i0 >= g_knots) return;
             Fixture wfx = build_fixture(*lib_, cell, switching_pins,
                                         model_internals,
-                                        /*force_out=*/true, 0.0,
-                                        options.backend);
+                                        /*force_out=*/true, 0.0);
             SweepBench bench = make_bench(&wfx);
             for (; i0 < g_knots;
                  i0 = next.fetch_add(1, std::memory_order_relaxed))

@@ -270,14 +270,8 @@ TimingResult TimingService::eval_transient(const core::CsmModel& model,
     // settle inside the window.
     const double tstop = t_edge + max_skew + max_slew + options_.settle +
                          5.0 * q.r_wire * q.c_far;
-    spice::TranOptions topt;
-    if (options_.adaptive_tran) {
-        topt = spice::fast_tran_options(tstop, options_.dt);
-    } else {
-        topt.dt = options_.dt;
-        topt.tstop = tstop;
-    }
-    const spice::TranResult tran = cell.run(topt);
+    const spice::TranResult tran =
+        cell.run(spice::fast_tran_options(tstop, options_.dt));
     const wave::Waveform out = tran.node_waveform(cell.out_node());
 
     TimingResult result;

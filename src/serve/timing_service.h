@@ -113,12 +113,12 @@ struct ServeOptions {
     std::vector<double> skew_knots_mis3{-2.5, -1.0, 0.0, 1.0, 2.5};
     std::vector<double> skew_pair_knots_mis3{-2.0, -0.6, 0.0, 0.6, 2.0};
     std::vector<double> load_knots_mis3{1e-15, 8e-15, 32e-15};
-    double dt = 2e-12;      // transient step of the evaluators [s]
-    double settle = 2e-9;   // post-edge simulation window [s]
-    // LTE-adaptive stepping + Jacobian reuse for every evaluator transient
+    // Base transient step of the evaluators [s]. Every evaluator transient
     // (surface knot builds and exact queries share the path, so LUT and
-    // exact answers stay consistent); false forces the fixed-dt grid.
-    bool adaptive_tran = true;
+    // exact answers stay consistent) runs LTE-adaptive with Jacobian reuse
+    // (spice::fast_tran_options) from this step.
+    double dt = 2e-12;
+    double settle = 2e-9;   // post-edge simulation window [s]
     std::size_t threads = 0;  // batch fan-out (0: all cores)
     // Directory for persisted arc surfaces (empty: in-memory only). Stale
     // files (different knots/dt/settle) are rebuilt and overwritten, never

@@ -141,11 +141,9 @@ void MosfetBatch::build(const std::vector<const Mosfet*>& mosfets,
     }
 }
 
-template <typename SpSigFn>
 void MosfetBatch::stamp_channel(SparseMatrix& matrix,
                                 std::vector<double>& rhs,
-                                const SimContext& ctx,
-                                SpSigFn&& sp_sig) const {
+                                const SimContext& ctx) const {
     static obs::Counter& scalar_evals =
         obs::counter("solver.simd.scalar_evals");
     const std::vector<double>& x = *ctx.x;
@@ -180,8 +178,8 @@ void MosfetBatch::stamp_channel(SparseMatrix& matrix,
             i_affine = cl[4];
         } else {
             ++n_eval;
-            const MosCurrent cur =
-                ekv_current(coeffs_at(i), vd, vg, vs, vb, sp_sig);
+            const MosCurrent cur = ekv_current(coeffs_at(i), vd, vg, vs, vb,
+                                               mcsm::softplus_logistic_fast);
             gm = cur.gm;
             gds = cur.gds;
             gms = cur.gms;
@@ -439,17 +437,13 @@ void MosfetBatch::refresh_caps(const SimContext& ctx) const {
 void MosfetBatch::evaluate_and_stamp(SparseMatrix& matrix,
                                      std::vector<double>& rhs,
                                      const SimContext& ctx) const {
-#ifdef MCSM_NO_FAST_EKV
-    stamp_channel(matrix, rhs, ctx, mcsm::softplus_logistic_ref);
-#else
     // Width 1 means the SIMD tier is compiled out, the CPU lacks AVX2+FMA,
     // or MCSM_NO_SIMD forced scalar — the plain fused loop wins there (no
     // gather/scatter detour for zero lane parallelism).
     if (ekv_lane_width() > 1)
         stamp_channel_lanes(matrix, rhs, ctx);
     else
-        stamp_channel(matrix, rhs, ctx, mcsm::softplus_logistic_fast);
-#endif
+        stamp_channel(matrix, rhs, ctx);
 
     if (!ctx.is_tran() || ctx.dt <= 0.0) return;
     if (ctx.step_id < 0 || ctx.step_id != cap_step_id_ ||

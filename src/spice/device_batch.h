@@ -8,8 +8,8 @@
 // entry a device stamps. evaluate_and_stamp() then
 //   1. gathers terminal voltages,
 //   2. evaluates the EKV current/conductances for all devices in one flat
-//      loop (piecewise-polynomial softplus/logistic fast path unless the
-//      library was built with MCSM_NO_FAST_EKV),
+//      loop (piecewise-polynomial softplus/logistic fast path; the SIMD
+//      lane kernel when the dispatch width is > 1),
 //   3. scatters the linearized stamps straight into CSR value slots and RHS
 //      rows, skipping the Stamper's per-write map probes.
 // Companion-capacitor stamps (5 pairs per device, linearized at the
@@ -17,8 +17,8 @@
 // parallel geq/isrc arrays — they are constant across the Newton iterations
 // of a step — and scattered the same way.
 //
-// The dense backend keeps the original per-device virtual path, which pins
-// its bit-compatibility with the seed solver.
+// The per-device virtual Mosfet::stamp path (libm reference kernel) stays
+// as the test oracle the batch is checked against.
 #ifndef MCSM_SPICE_DEVICE_BATCH_H
 #define MCSM_SPICE_DEVICE_BATCH_H
 
@@ -47,15 +47,15 @@ public:
     bool empty() const { return count_ == 0; }
 
     // Evaluates all devices at the node voltages in ctx and scatters the
-    // linearized stamps into `matrix`/`rhs` (rhs indexed by unknown row).
-    // Uses the fast EKV kernel unless built with MCSM_NO_FAST_EKV.
+    // linearized stamps into `matrix`/`rhs` (rhs indexed by unknown row)
+    // with the fast EKV kernel.
     void evaluate_and_stamp(SparseMatrix& matrix, std::vector<double>& rhs,
                             const SimContext& ctx) const;
 
     // Evaluation-only hook for tests and benches: out[i] receives device
     // i's channel current evaluated at the node voltages in `x` (node-id
     // indexed like SimContext::x). `fast` selects the kernel;
-    // evaluate_and_stamp always uses the compiled-in default.
+    // evaluate_and_stamp always uses the fast one.
     void evaluate(const std::vector<double>& x, MosCurrent* out,
                   bool fast) const;
 
@@ -76,9 +76,10 @@ private:
         return c;
     }
 
-    template <typename SpSigFn>
+    // The fused scalar loop: evaluate (or revalidate) and stamp each device
+    // in turn. Selected by evaluate_and_stamp at dispatch width 1.
     void stamp_channel(SparseMatrix& matrix, std::vector<double>& rhs,
-                       const SimContext& ctx, SpSigFn&& sp_sig) const;
+                       const SimContext& ctx) const;
     // The SIMD tier's phase-split equivalent of stamp_channel: compact the
     // devices outside the stale_dv gate into a dense active list, gather
     // their voltages (and coefficients) lane-contiguously, run the

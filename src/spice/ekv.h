@@ -5,8 +5,8 @@
 //
 // The arithmetic here is transcribed exactly from the original
 // Mosfet::evaluate_current so that the reference-math instantiation stays
-// bit-identical to the scalar device (the dense solver backend pins that
-// path to the seed waveforms). The math policy only swaps how the
+// bit-identical to the scalar device (Mosfet::stamp, the oracle the batch
+// is tested against). The math policy only swaps how the
 // softplus/logistic pair is computed: `softplus_logistic_ref` (libm) or
 // `softplus_logistic_fast` (piecewise polynomial, see common/numeric.h).
 #ifndef MCSM_SPICE_EKV_H

@@ -69,8 +69,7 @@ MosCaps Mosfet::evaluate_caps(double vd, double vg, double vs,
     // Body-affected threshold seen from the conducting (source) side; use a
     // smooth-max of the two channel ends for symmetry. The softplus/logistic
     // pair at (wgs-wgd)/bw shares one fast-kernel evaluation (same
-    // approximation family as the batched EKV channel model; the portable
-    // build compiles it to the libm reference).
+    // approximation family as the batched EKV channel model).
     const double bw = p.blend_v;
     const mcsm::SpSig side = mcsm::softplus_logistic_fast((wgs - wgd) / bw);
     const double smax = bw * side.sp + wgd;

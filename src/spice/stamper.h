@@ -2,13 +2,11 @@
 // vector (ground is eliminated) and offers the stamping primitives devices
 // need.
 //
-// The stamper is a thin writer over one of three storages:
-//   kDense   - owns a DenseMatrix (standalone use and the cross-check
-//              fallback backend),
-//   kSparse  - writes into a SolverWorkspace's preallocated CSR slots,
-//   kPattern - records (row, col) coordinates only; used once per topology
-//              by Circuit::prepare() to discover the sparsity pattern.
-// Device stamp() signatures are identical across backends.
+// The stamper is a thin writer over one of two storages:
+//   CSR     - writes into a SolverWorkspace's preallocated CSR slots,
+//   pattern - records (row, col) coordinates only; used once per topology
+//             by Circuit::prepare() to discover the sparsity pattern.
+// Device stamp() signatures are identical across storages.
 #ifndef MCSM_SPICE_STAMPER_H
 #define MCSM_SPICE_STAMPER_H
 
@@ -16,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/dense_matrix.h"
 #include "common/sparse_matrix.h"
 
 namespace mcsm::spice {
@@ -25,10 +22,6 @@ namespace mcsm::spice {
 // currents for devices that request them (voltage sources).
 class Stamper {
 public:
-    // Standalone dense stamper (legacy construction; also the dense
-    // backend inside SolverWorkspace).
-    Stamper(int n_nodes, int n_branches);
-
     // Sparse writer into preallocated CSR storage (SolverWorkspace owns
     // the matrix and guarantees it outlives the stamper).
     Stamper(int n_nodes, int n_branches, SparseMatrix* sparse);
@@ -98,15 +91,8 @@ public:
             add_matrix(node, node, gmin);
     }
 
-    // Dense-backend storage (throws on other backends).
-    DenseMatrix& matrix();
     std::vector<double>& rhs() { return b_; }
     const std::vector<double>& rhs() const { return b_; }
-
-    // Solves the assembled dense system; returns the full solution vector
-    // indexed like the unknowns. Standalone/legacy path - circuit solvers
-    // go through SolverWorkspace::solve() instead.
-    std::vector<double> solve();
 
     // Index helpers (-1 for ground).
     int unknown_of_node(int node) const { return node == 0 ? -1 : node - 1; }
@@ -115,31 +101,21 @@ public:
     }
 
 private:
-    enum class Backend { kDense, kSparse, kPattern };
-
-    // Accumulates v at unknown-space coordinates (r, c).
+    // Accumulates v at unknown-space coordinates (r, c); a pattern
+    // recorder only notes the coordinates.
     void sink(int r, int c, double v) {
-        switch (backend_) {
-            case Backend::kDense:
-                a_.at(static_cast<std::size_t>(r),
-                      static_cast<std::size_t>(c)) += v;
-                break;
-            case Backend::kSparse:
-                if (!sparse_->add(static_cast<std::size_t>(r),
-                                  static_cast<std::size_t>(c), v))
-                    sink_pattern_miss();
-                break;
-            case Backend::kPattern:
-                pattern_out_->emplace_back(r, c);
-                break;
+        if (sparse_ != nullptr) {
+            if (!sparse_->add(static_cast<std::size_t>(r),
+                              static_cast<std::size_t>(c), v))
+                sink_pattern_miss();
+        } else {
+            pattern_out_->emplace_back(r, c);
         }
     }
     [[noreturn]] void sink_pattern_miss() const;
 
-    Backend backend_ = Backend::kDense;
     int n_nodes_ = 0;
     int n_branches_ = 0;
-    DenseMatrix a_;  // dense backend only
     std::vector<double> b_;
     SparseMatrix* sparse_ = nullptr;
     std::vector<std::pair<int, int>>* pattern_out_ = nullptr;

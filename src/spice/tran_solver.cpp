@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cmath>
+#include <cstdio>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -70,18 +70,11 @@ double TranResult::final_node_voltage(int node_id) const {
 
 namespace {
 
-// Reusable step buffers: advance() runs thousands of times per transient,
-// and the recursion on subdivision is sequential, so one set suffices.
-struct TranScratch {
-    std::vector<double> x_new;
-    std::vector<double> state_next;
-};
-
 // Process-wide so step ids never repeat across solve_tran calls on a reused
 // circuit (devices key their linearization caches on it).
 std::atomic<long long> g_step_counter{0};
 
-// The transient SimContext shared by newton_tran and commit_step.
+// The transient SimContext shared by the Newton loop and commit_step.
 SimContext make_tran_context(Integrator integrator, double time, double dt,
                              const std::vector<double>& x_prev,
                              const std::vector<double>& state,
@@ -97,59 +90,6 @@ SimContext make_tran_context(Integrator integrator, double time, double dt,
     ctx.state = &state;
     ctx.step_id = step_id;
     return ctx;
-}
-
-// One NR solve for the step ending at `time` with step `dt`. `x` enters as
-// the warm start and leaves as the solution. Returns false on divergence.
-// Assembly and factorization run in the circuit's persistent workspace;
-// the iteration body performs no heap allocation.
-bool newton_tran(Circuit& circuit, const TranOptions& options,
-                 Integrator integrator, double time, double dt,
-                 const std::vector<double>& x_prev,
-                 const std::vector<double>& state, std::vector<double>& x,
-                 long long step_id, TranStats* stats = nullptr) {
-    const int n_nodes = circuit.node_count();
-    SolverWorkspace& ws = circuit.workspace();
-    const SimContext ctx =
-        make_tran_context(integrator, time, dt, x_prev, state, x, step_id);
-
-    for (int it = 0; it < options.max_newton; ++it) {
-        if (stats != nullptr) ++stats->newton_iters;
-        Stamper& st = ws.assemble(ctx);
-        st.add_gmin_everywhere(options.gmin);
-
-        const std::vector<double>* sol_ptr;
-        try {
-            sol_ptr = &ws.solve();
-        } catch (const NumericalError&) {
-            return false;
-        }
-        const std::vector<double>& sol = *sol_ptr;
-
-        double dx_max = 0.0;
-        for (int node = 1; node < n_nodes; ++node) {
-            const int u = st.unknown_of_node(node);
-            dx_max = std::max(
-                dx_max, std::fabs(sol[static_cast<std::size_t>(u)] -
-                                  x[static_cast<std::size_t>(node)]));
-        }
-        if (!std::isfinite(dx_max)) return false;
-        const double alpha =
-            dx_max > options.max_update ? options.max_update / dx_max : 1.0;
-
-        for (int node = 1; node < n_nodes; ++node) {
-            const int u = st.unknown_of_node(node);
-            auto& xv = x[static_cast<std::size_t>(node)];
-            xv += alpha * (sol[static_cast<std::size_t>(u)] - xv);
-        }
-        for (int br = 0; br < circuit.branch_total(); ++br) {
-            const int u = st.unknown_of_branch(br);
-            auto& xb = x[static_cast<std::size_t>(n_nodes + br)];
-            xb += alpha * (sol[static_cast<std::size_t>(u)] - xb);
-        }
-        if (dx_max < options.vtol) return true;
-    }
-    return false;
 }
 
 // Commits device states after an accepted step into `state_next`.
@@ -175,39 +115,8 @@ bool step_has_breakpoint(const std::vector<double>& breakpoints, double t0,
     return it != breakpoints.end() && *it < t0 + dt - eps;
 }
 
-// Advances from (x, state) at t0 to t0+dt, subdividing on failure.
-void advance(Circuit& circuit, const TranOptions& options,
-             const std::vector<double>& breakpoints, double t0, double dt,
-             std::vector<double>& x, std::vector<double>& state,
-             TranScratch& scratch, int depth, TranStats& stats) {
-    const Integrator integrator =
-        step_has_breakpoint(breakpoints, t0, dt) ? Integrator::kBackwardEuler
-                                                 : options.integrator;
-    scratch.x_new = x;  // warm start
-    const long long step_id =
-        g_step_counter.fetch_add(1, std::memory_order_relaxed);
-    if (newton_tran(circuit, options, integrator, t0 + dt, dt, x, state,
-                    scratch.x_new, step_id, &stats)) {
-        commit_step(circuit, integrator, t0 + dt, dt, x, state, scratch.x_new,
-                    scratch.state_next, step_id);
-        x.swap(scratch.x_new);
-        state.swap(scratch.state_next);
-        ++stats.steps_accepted;
-        return;
-    }
-    ++stats.steps_rejected;
-    if (depth >= options.max_subdivisions) {
-        throw NumericalError("solve_tran: step at t=" + std::to_string(t0) +
-                             " failed after max subdivisions");
-    }
-    advance(circuit, options, breakpoints, t0, dt * 0.5, x, state, scratch,
-            depth + 1, stats);
-    advance(circuit, options, breakpoints, t0 + dt * 0.5, dt * 0.5, x, state,
-            scratch, depth + 1, stats);
-}
-
-// TranStats is the single source for stepping-loop accounting: the engines
-// fill the struct (surfaced per-result through TranResult::stats(), which
+// TranStats is the single source for stepping-loop accounting: the engine
+// fills the struct (surfaced per-result through TranResult::stats(), which
 // the bench gates read), and each solve publishes the same struct into the
 // process-wide obs counters here -- the two views cannot drift apart.
 void publish_tran_stats(const TranStats& stats) {
@@ -231,7 +140,13 @@ void publish_tran_stats(const TranStats& stats) {
     reuse.add(stats.jacobian_reuse_steps);
 }
 
-// --- fast path: Jacobian reuse + LTE-adaptive stepping -------------------
+// A time for error messages; std::to_string's fixed notation would print
+// every sub-microsecond time as 0.000000.
+std::string time_text(double t) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.6g", t);
+    return buf;
+}
 
 // A few ulps of absolute slack around a time value; used to dedupe
 // breakpoints against accepted step times and to snap step ends.
@@ -250,11 +165,12 @@ void to_unknowns(const std::vector<double>& x, int n_nodes, int n_branches,
             x[static_cast<std::size_t>(n_nodes + br)];
 }
 
-// The fast transient engine: delta-form Newton against a frozen sparse LU
-// (refreshed on integrator/dt changes, slow convergence, or failures) and,
-// in kAdaptiveLte mode, predictor-corrector LTE step control between source
-// breakpoints. Every buffer is allocated in the constructor; the stepping
-// loop itself is allocation-free.
+// The transient engine: one delta-form Newton loop (a fresh factorization
+// every iteration, or with reuse_jacobian a frozen sparse LU refreshed on
+// integrator/dt changes, slow convergence, or failures) under one of two
+// step policies -- the fixed record grid, or predictor-corrector LTE step
+// control between source breakpoints. Every buffer is allocated in the
+// constructor; the stepping loop itself is allocation-free.
 class TranEngine {
 public:
     TranEngine(Circuit& circuit, const TranOptions& opt,
@@ -265,8 +181,6 @@ public:
           bps_(breakpoints),
           n_nodes_(circuit.node_count()),
           n_branches_(circuit.branch_total()) {
-        use_reuse_ =
-            opt.reuse_jacobian && ws_.backend() == SolverBackend::kSparse;
         dt_floor_ = opt.dt_min > 0.0 ? opt.dt_min : opt.dt / 1024.0;
         dt_cap_ = std::max(opt.dt_max > 0.0 ? opt.dt_max : 32.0 * opt.dt,
                            dt_floor_);
@@ -281,7 +195,7 @@ public:
                            0.0);
         // Results must not depend on which systems this workspace solved
         // before (same determinism contract as solve_dc_sweep).
-        if (use_reuse_) ws_.invalidate_factorization();
+        ws_.invalidate_factorization();
         // Step ids key the device linearization caches on the accepted base
         // solution: every attempt at the same step (Newton retry, LTE
         // shrink) shares one id, so raw capacitance evaluations are paid
@@ -301,8 +215,8 @@ public:
     TranStats stats;
 
 private:
-    // Legacy-compatible outer loop: record on the dt grid, halve on Newton
-    // failure only.
+    // Fixed-grid policy: record on the dt grid, halve on Newton failure
+    // only (no LTE control).
     void run_fixed(std::vector<double>& x, std::vector<double>& state,
                    TranResult& result) {
         const auto n_steps = static_cast<std::size_t>(
@@ -330,7 +244,7 @@ private:
                     h *= 0.5;
                     if (h < h_min * 0.999) {
                         throw NumericalError(
-                            "solve_tran: step at t=" + std::to_string(t) +
+                            "solve_tran: step at t=" + time_text(t) +
                             " failed after max subdivisions");
                     }
                 }
@@ -390,7 +304,7 @@ private:
                 dt = h * 0.5;
                 if (dt < dt_floor_ * 0.999) {
                     throw NumericalError(
-                        "solve_tran: adaptive step at t=" + std::to_string(t) +
+                        "solve_tran: adaptive step at t=" + time_text(t) +
                         " failed at the minimum step size");
                 }
                 continue;
@@ -437,9 +351,15 @@ private:
 
     // Solves the step ending at t1 into x_new_ (x and state untouched, so a
     // rejected attempt needs no rollback). Returns false on divergence.
+    // Throws once subdivision has shrunk the step below half an ulp of t0:
+    // t1 == t0 would be a zero-length step that never advances time.
     bool try_step(double t0, double t1, Integrator integ,
                   const std::vector<double>& x,
                   const std::vector<double>& state) {
+        if (!(t1 > t0)) {
+            throw NumericalError("solve_tran: step at t=" + time_text(t0) +
+                                 " no longer advances time after subdivision");
+        }
         att_t1_ = t1;
         att_h_ = t1 - t0;
         att_integ_ = integ;
@@ -459,10 +379,7 @@ private:
             }
         }
         last_step_refactored_ = false;
-        if (use_reuse_)
-            return newton_reuse(integ, t1, att_h_, x, state, att_step_id_);
-        return newton_tran(circuit_, opt_, integ, t1, att_h_, x, state, x_new_,
-                           att_step_id_, &stats);
+        return newton(integ, t1, att_h_, x, state, att_step_id_);
     }
 
     // Commits the attempt solved by the last successful try_step.
@@ -473,20 +390,22 @@ private:
         x.swap(x_new_);
         state.swap(state_next_);
         ++stats.steps_accepted;
-        if (use_reuse_ && !last_step_refactored_) ++stats.jacobian_reuse_steps;
+        if (!last_step_refactored_) ++stats.jacobian_reuse_steps;
         // New accepted base solution -> new cache key for the next step.
         base_step_id_ = g_step_counter.fetch_add(1, std::memory_order_relaxed);
     }
 
-    // Delta-form Newton against the frozen factorization: every iteration
-    // assembles the true matrix and residual at the current iterate; only
-    // the correction d = LU_frozen^-1 r goes through stale factors, so an
-    // accepted solution never depends on them. Acceptance requires a small
-    // correction AND either exact factors this iteration or a small true
-    // residual (KCL rows vs itol, branch rows vs vtol).
-    bool newton_reuse(Integrator integ, double time, double dt,
-                      const std::vector<double>& x_prev,
-                      const std::vector<double>& state, long long step_id) {
+    // Delta-form Newton: every iteration assembles the true matrix and
+    // residual at the current iterate and solves for the correction
+    // d = LU^-1 r. Without reuse_jacobian every iteration factors. With it,
+    // the factorization may be frozen from an earlier step; only the
+    // correction goes through stale factors, so an accepted solution never
+    // depends on them. Acceptance requires a small correction AND either
+    // exact factors this iteration or a small true residual (KCL rows vs
+    // itol, branch rows vs vtol).
+    bool newton(Integrator integ, double time, double dt,
+                const std::vector<double>& x_prev,
+                const std::vector<double>& state, long long step_id) {
         SimContext ctx = make_tran_context(integ, time, dt, x_prev,
                                            state, x_new_, step_id);
         ctx.stale_dv = opt_.stale_dv;
@@ -494,7 +413,9 @@ private:
         // A stale factorization only slows convergence (acceptance is
         // residual-gated), so tolerate a fairly wide dt drift before paying
         // for a refactor: companion conductances scale with 1/dt.
-        bool want_fresh = !have_factor_ || integ != factor_integrator_ ||
+        const bool reuse = opt_.reuse_jacobian;
+        bool want_fresh = !reuse || !have_factor_ ||
+                          integ != factor_integrator_ ||
                           dt < 0.45 * factor_dt_ || dt > 2.2 * factor_dt_;
         // Eager-fresh heuristic: when stale starts have recently needed a
         // mid-loop refresh anyway (paying for the wasted assembles), start
@@ -528,7 +449,7 @@ private:
                 factor_dt_ = dt;
                 factor_integrator_ = integ;
                 last_step_refactored_ = true;
-                want_fresh = false;
+                want_fresh = !reuse;
                 fresh = true;
                 ++stats.lu_refactors;
             }
@@ -636,7 +557,6 @@ private:
     const std::vector<double>& bps_;
     int n_nodes_;
     int n_branches_;
-    bool use_reuse_ = false;
     double dt_floor_ = 0.0;
     double dt_cap_ = 0.0;
 
@@ -731,17 +651,7 @@ TranOptions fast_tran_options(double tstop, double dt) {
     return o;
 }
 
-TranResult solve_tran(Circuit& circuit, const TranOptions& opts_in) {
-    // MCSM_TRAN_ADAPTIVE=1 upgrades fixed-grid calls to LTE-adaptive
-    // stepping with the (tight) default budgets — a CI lever that drives
-    // every transient in a test binary through the adaptive loop without
-    // touching call sites. Explicit adaptive requests are unaffected.
-    TranOptions options = opts_in;
-    if (options.step_control == StepControl::kFixedGrid) {
-        if (const char* env = std::getenv("MCSM_TRAN_ADAPTIVE");
-            env != nullptr && env[0] == '1')
-            options.step_control = StepControl::kAdaptiveLte;
-    }
+TranResult solve_tran(Circuit& circuit, const TranOptions& options) {
     validate_tran_options(options);
     const obs::Span span("spice.solve_tran");
     circuit.prepare();
@@ -784,34 +694,10 @@ TranResult solve_tran(Circuit& circuit, const TranOptions& opts_in) {
     result.reserve(n_steps + 1, circuit.branch_total());
     result.record(0.0, x, circuit.node_count(), circuit.branch_total());
 
-    // The fast engine owns Jacobian reuse (sparse backend) and adaptive
-    // stepping; the default configuration stays on the legacy loop below,
-    // which is bit-compatible with the seed solver.
-    const bool fast_path =
-        options.step_control == StepControl::kAdaptiveLte ||
-        (options.reuse_jacobian &&
-         circuit.workspace().backend() == SolverBackend::kSparse);
-    if (fast_path) {
-        TranEngine engine(circuit, options, breakpoints);
-        engine.run(x, state, result);
-        result.set_stats(engine.stats);
-        publish_tran_stats(engine.stats);
-        return result;
-    }
-
-    TranScratch scratch;
-    scratch.x_new.reserve(x.size());
-    scratch.state_next.reserve(state.size());
-    TranStats stats;
-    for (std::size_t k = 0; k < n_steps; ++k) {
-        const double t0 = options.dt * static_cast<double>(k);
-        const double t1 = std::min(options.tstop, t0 + options.dt);
-        advance(circuit, options, breakpoints, t0, t1 - t0, x, state, scratch,
-                0, stats);
-        result.record(t1, x, circuit.node_count(), circuit.branch_total());
-    }
-    result.set_stats(stats);
-    publish_tran_stats(stats);
+    TranEngine engine(circuit, options, breakpoints);
+    engine.run(x, state, result);
+    result.set_stats(engine.stats);
+    publish_tran_stats(engine.stats);
     return result;
 }
 

@@ -1,14 +1,15 @@
-// Transient analysis with Newton-Raphson per step, trapezoidal or
-// backward-Euler integration, and two step-control regimes:
+// Transient analysis with delta-form Newton-Raphson per step on the
+// circuit's sparse workspace, trapezoidal or backward-Euler integration,
+// and two step-control regimes:
 //  * kFixedGrid (default) -- the record grid is the time grid; steps only
-//    subdivide on Newton failure. Bit-compatible with the seed solver.
+//    subdivide on Newton failure.
 //  * kAdaptiveLte -- a predictor-corrector local-truncation-error estimate
 //    grows and shrinks dt between source breakpoints (which stay exact).
 // Independently, `reuse_jacobian` freezes one sparse LU factorization across
-// consecutive accepted steps and runs delta-form Newton corrections against
-// it; the residual is always assembled at the current iterate, so
-// correctness never depends on the stale matrix (same contract as
-// solve_dc_sweep).
+// Newton iterations and consecutive accepted steps (without it every
+// iteration factors); the residual is always assembled at the current
+// iterate, so correctness never depends on the stale matrix (same contract
+// as solve_dc_sweep).
 #ifndef MCSM_SPICE_TRAN_SOLVER_H
 #define MCSM_SPICE_TRAN_SOLVER_H
 
@@ -24,7 +25,7 @@
 namespace mcsm::spice {
 
 enum class StepControl {
-    kFixedGrid,    // step on the dt grid (legacy; bit-compatible baseline)
+    kFixedGrid,    // step on the dt grid, subdividing on Newton failure
     kAdaptiveLte,  // LTE-controlled dt between breakpoints
 };
 
@@ -49,17 +50,17 @@ struct TranOptions {
     double lte_abs_v = 5e-5;  // absolute floor [V]
     double grow_max = 2.0;    // max per-accepted-step dt growth factor
 
-    // --- Jacobian reuse (sparse backend; silently off on dense) ---------
+    // --- Jacobian reuse ---------------------------------------------------
     bool reuse_jacobian = false;
     double itol = 1e-9;  // residual acceptance on KCL rows [A] when the
                          // accepting iteration ran against a stale LU
     // Devices may keep their cached linearization — the channel tangent
     // model and the step-frozen capacitance evaluation — when no terminal
     // voltage moved more than this [V] since it was last evaluated (0 =
-    // re-evaluate everywhere, the bit-compatible default). Channel reuse
-    // re-stamps the cached *tangent*, so its model error is second order
-    // in the threshold; cap reuse is first order, which bounds how large
-    // the knob should be. On a gate chain only the switching cells pay for
+    // re-evaluate everywhere, the default). Channel reuse re-stamps the
+    // cached *tangent*, so its model error is second order in the
+    // threshold; cap reuse is first order, which bounds how large the knob
+    // should be. On a gate chain only the switching cells pay for
     // device evaluation; settled cells revalidate for free. Assembly,
     // commit, and LTE control all see the same (slightly stale, still
     // charge-consistent) linearization.
@@ -84,7 +85,8 @@ struct TranStats {
     long long steps_rejected = 0;  // LTE rejections + Newton failures
     long long lte_rejections = 0;  // subset of steps_rejected: LTE only
     long long newton_iters = 0;    // linear solves across all attempts
-    long long lu_refactors = 0;    // factorizations (reuse mode only)
+    // Factorizations; equals newton_iters unless reuse_jacobian is on.
+    long long lu_refactors = 0;
     // Accepted steps whose Newton loop ran entirely against a frozen
     // factorization from an earlier step.
     long long jacobian_reuse_steps = 0;
@@ -132,7 +134,8 @@ private:
 };
 
 // Runs a transient from the DC operating point at t=0 to options.tstop.
-// Throws NumericalError if a step fails even after subdivision.
+// Throws NumericalError if a step fails even after subdivision, or once
+// subdivision no longer advances time.
 TranResult solve_tran(Circuit& circuit, const TranOptions& options);
 
 }  // namespace mcsm::spice

@@ -1,9 +1,9 @@
 // Solver-core tests for the persistent sparse workspace:
 //  * randomized dense-vs-sparse cross-checks on generated MNA systems
-//    (pattern reuse, pivoting, refactor stability),
-//  * a before/after golden test pinning solve_tran waveforms on the
-//    NOR2/NAND2 fixtures to values captured from the pre-workspace dense
-//    solver,
+//    (pattern reuse, pivoting, refactor stability) against the dense LU
+//    oracle,
+//  * a golden test pinning solve_tran waveforms on the NOR2/NAND2
+//    fixtures to values captured from the original dense solver,
 //  * an allocation counter proving the Newton assembly+solve cycle is
 //    heap-free after prepare(),
 //  * determinism of the parallel scenario sweeps.
@@ -38,7 +38,6 @@ namespace mcsm {
 namespace {
 
 using spice::Circuit;
-using spice::SolverBackend;
 using spice::SourceSpec;
 
 // --- SparseLu vs dense LU on random systems ------------------------------
@@ -234,6 +233,42 @@ TEST(SparseMatrix, RowHashedSlotMapBeyondDenseLimit) {
 
 // --- dense-vs-sparse cross-check through the full solver stack -----------
 
+// Dense-LU oracle for a solved circuit: assembles the DC system at `x`
+// through the per-device virtual stamps, densifies the workspace CSR
+// matrix, and solves it with the dense partial-pivot LU. Returns the
+// solution in the solver's x layout (ground, nodes, branches). For a
+// linear circuit that is the exact solution; for a nonlinear one it is
+// one dense Newton step from x, so a converged x must be its fixed point.
+std::vector<double> dense_reference_at(Circuit& c,
+                                       const std::vector<double>& x) {
+    spice::SolverWorkspace& ws = c.workspace();
+    spice::SimContext ctx;
+    ctx.mode = spice::SimContext::Mode::kDc;
+    ctx.x = &x;
+    spice::Stamper& st = ws.begin_assembly();
+    for (const auto& dev : c.devices()) dev->stamp(st, ctx);
+    st.add_gmin_everywhere(spice::DcOptions{}.gmin_final);
+
+    const SparseMatrix& a = ws.csr_matrix();
+    DenseMatrix dense(a.size(), a.size());
+    for (std::size_t r = 0; r < a.size(); ++r) {
+        const auto cols = a.row_cols(r);
+        const auto vals = a.row_values(r);
+        for (std::size_t i = 0; i < cols.size(); ++i)
+            dense.at(r, static_cast<std::size_t>(cols[i])) = vals[i];
+    }
+    const std::vector<double> u = solve_lu(dense, st.rhs());
+
+    std::vector<double> ref(x.size(), 0.0);
+    for (int node = 1; node < c.node_count(); ++node)
+        ref[static_cast<std::size_t>(node)] =
+            u[static_cast<std::size_t>(st.unknown_of_node(node))];
+    for (int br = 0; br < c.branch_total(); ++br)
+        ref[static_cast<std::size_t>(c.node_count() + br)] =
+            u[static_cast<std::size_t>(st.unknown_of_branch(br))];
+    return ref;
+}
+
 // Random linear MNA circuits: a resistor chain guaranteeing connectivity
 // plus random extra resistors, voltage and current sources.
 Circuit make_random_circuit(std::mt19937& rng, int n_nodes) {
@@ -272,15 +307,13 @@ TEST(SolverWorkspace, RandomMnaDenseVsSparse) {
         const int n_nodes = 4 + trial % 12;
         Circuit c = make_random_circuit(rng, n_nodes);
 
-        c.set_solver_backend(SolverBackend::kSparse);
         const spice::DcResult sparse = spice::solve_dc(c);
-        c.set_solver_backend(SolverBackend::kDense);
-        const spice::DcResult dense = spice::solve_dc(c);
+        const std::vector<double> dense = dense_reference_at(c, sparse.x);
 
-        ASSERT_EQ(sparse.x.size(), dense.x.size());
+        ASSERT_EQ(sparse.x.size(), dense.size());
         for (std::size_t i = 0; i < sparse.x.size(); ++i)
-            EXPECT_NEAR(sparse.x[i], dense.x[i],
-                        1e-9 * std::max(1.0, std::fabs(dense.x[i])))
+            EXPECT_NEAR(sparse.x[i], dense[i],
+                        1e-9 * std::max(1.0, std::fabs(dense[i])))
                 << "trial " << trial << " unknown " << i;
     }
 }
@@ -288,33 +321,27 @@ TEST(SolverWorkspace, RandomMnaDenseVsSparse) {
 TEST(SolverWorkspace, NonlinearDenseVsSparse) {
     // A transistor circuit exercises gmin stepping and many refactors.
     const tech::Technology t = tech::make_tech130();
-    auto build = [&]() {
-        Circuit c;
-        const int vdd = c.node("vdd");
-        const int in = c.node("in");
-        const int out = c.node("out");
-        c.add_vsource("VDD", vdd, Circuit::kGround, SourceSpec::dc(t.vdd));
-        c.add_vsource("VIN", in, Circuit::kGround, SourceSpec::dc(0.6));
-        c.add_mosfet("MN", out, in, Circuit::kGround, Circuit::kGround,
-                     t.nmos, t.wn_unit, t.lmin);
-        c.add_mosfet("MP", out, in, vdd, vdd, t.pmos, t.wp_unit, t.lmin);
-        return c;
-    };
-    Circuit cs = build();
-    cs.set_solver_backend(SolverBackend::kSparse);
-    const spice::DcResult rs = spice::solve_dc(cs);
-    Circuit cd = build();
-    cd.set_solver_backend(SolverBackend::kDense);
-    const spice::DcResult rd = spice::solve_dc(cd);
-    EXPECT_NEAR(rs.node_voltage(cs.node_id("out")),
-                rd.node_voltage(cd.node_id("out")), 1e-6);
+    Circuit c;
+    const int vdd = c.node("vdd");
+    const int in = c.node("in");
+    const int out = c.node("out");
+    c.add_vsource("VDD", vdd, Circuit::kGround, SourceSpec::dc(t.vdd));
+    c.add_vsource("VIN", in, Circuit::kGround, SourceSpec::dc(0.6));
+    c.add_mosfet("MN", out, in, Circuit::kGround, Circuit::kGround, t.nmos,
+                 t.wn_unit, t.lmin);
+    c.add_mosfet("MP", out, in, vdd, vdd, t.pmos, t.wp_unit, t.lmin);
+
+    const spice::DcResult rs = spice::solve_dc(c);
+    const std::vector<double> rd = dense_reference_at(c, rs.x);
+    EXPECT_NEAR(rs.node_voltage(out), rd[static_cast<std::size_t>(out)],
+                1e-6);
 }
 
-// --- before/after golden waveforms ---------------------------------------
+// --- golden waveforms ----------------------------------------------------
 
-// Samples captured from the pre-refactor (seed) solver on these exact
-// fixtures; the retained dense backend reproduces its arithmetic bit for
-// bit, the sparse workspace must stay within 1e-12 round-off.
+// Samples captured from the original dense solver on these exact fixtures
+// (per-device stamps, dense LU, recursive step subdivision); the sparse
+// workspace and the transient engine must stay within 1e-9 of them.
 struct GoldenCase {
     const char* cell;
     double expect[6];
@@ -332,7 +359,7 @@ const GoldenCase kGoldenCases[2] = {
       1.1938037397328249, 1.1999950309613474, 1.1999954109179714}},
 };
 
-void check_golden(SolverBackend backend, double tol) {
+TEST(GoldenWaveforms, SparseWorkspaceWithinRoundoff) {
     const tech::Technology t = tech::make_tech130();
     const cells::CellLibrary lib(t);
     spice::TranOptions topt;
@@ -343,21 +370,12 @@ void check_golden(SolverBackend backend, double tol) {
     for (const GoldenCase& gc : kGoldenCases) {
         engine::GoldenCell cell(lib, gc.cell, {{"A", stim.a}, {"B", stim.b}},
                                 engine::LoadSpec{5e-15, 0, "INV_X1"});
-        cell.circuit().set_solver_backend(backend);
         const spice::TranResult res = cell.run(topt);
         const wave::Waveform w = res.node_waveform(cell.out_node());
         for (int i = 0; i < 6; ++i)
-            EXPECT_NEAR(w.at(kSampleTimes[i]), gc.expect[i], tol)
+            EXPECT_NEAR(w.at(kSampleTimes[i]), gc.expect[i], 1e-9)
                 << gc.cell << " sample " << i;
     }
-}
-
-TEST(GoldenWaveforms, DenseBackendBitCompatibleWithSeed) {
-    check_golden(SolverBackend::kDense, 1e-12);
-}
-
-TEST(GoldenWaveforms, SparseWorkspaceWithinRoundoff) {
-    check_golden(SolverBackend::kSparse, 1e-9);
 }
 
 // --- zero allocations in the Newton assembly+solve cycle -----------------
@@ -370,7 +388,6 @@ TEST(SolverWorkspace, NewtonCycleIsAllocationFreeAfterPrepare) {
     engine::GoldenCell cell(lib, "NOR2", {{"A", stim.a}, {"B", stim.b}},
                             engine::LoadSpec{5e-15, 2, "INV_X1"});
     Circuit& c = cell.circuit();
-    c.set_solver_backend(SolverBackend::kSparse);
 
     // Warm everything: workspace build, first factorization, operating
     // point, and the source-waveform evaluation paths.

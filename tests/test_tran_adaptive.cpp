@@ -1,22 +1,23 @@
-// Adaptive-transient fast-path tests:
+// Transient-engine tests:
 //  * TranOptions validation rejects every malformed field with a
 //    descriptive ModelError,
-//  * LTE-adaptive stepping agrees with the fixed-grid baseline on golden
-//    NOR2 scenarios (timing within the bench gate's tolerance) while
-//    taking fewer steps,
-//  * Jacobian reuse on the fixed grid tracks the plain Newton loop,
+//  * LTE-adaptive stepping agrees with the fixed grid on golden NOR2
+//    scenarios and on a NOR2 CSM model cell (timing within the golden
+//    gate's tolerance) while taking fewer steps,
+//  * Jacobian reuse on the fixed grid tracks plain Newton, which factors
+//    every iteration,
 //  * adaptive + reuse + delta-gated device revalidation is bitwise
 //    deterministic across thread counts (the run_id scoping contract),
 //  * LinearBatch assembly matches the per-device virtual stamp path at
 //    ulp scale on the same CSR storage,
 //  * breakpoints landing within one ulp of an accepted step are consumed,
 //    never double-stepped,
-//  * rejected-step / refactor counters are exercised, and
-//  * MCSM_TRAN_ADAPTIVE=1 upgrades fixed-grid calls to adaptive stepping.
+//  * fixed-grid subdivision that stops advancing time throws instead of
+//    looping, and
+//  * rejected-step / refactor counters are exercised.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -24,6 +25,8 @@
 
 #include "cells/library.h"
 #include "common/error.h"
+#include "core/characterizer.h"
+#include "core/model_scenarios.h"
 #include "engine/scenarios.h"
 #include "spice/circuit.h"
 #include "spice/solver_workspace.h"
@@ -37,40 +40,10 @@ namespace mcsm {
 namespace {
 
 using spice::Circuit;
-using spice::SolverBackend;
 using spice::SourceSpec;
 using spice::StepControl;
 using spice::TranOptions;
 using spice::TranResult;
-
-// Pins MCSM_TRAN_ADAPTIVE for a scope and restores the previous value:
-// tests that assert *fixed-grid* behavior must hold even when the CI job
-// exports the override for the rest of the suite.
-class ScopedTranAdaptiveEnv {
-public:
-    explicit ScopedTranAdaptiveEnv(const char* value) {
-        const char* cur = std::getenv(kName);
-        had_ = cur != nullptr;
-        if (had_) old_ = cur;
-        if (value != nullptr)
-            setenv(kName, value, 1);
-        else
-            unsetenv(kName);
-    }
-    ~ScopedTranAdaptiveEnv() {
-        if (had_)
-            setenv(kName, old_.c_str(), 1);
-        else
-            unsetenv(kName);
-    }
-    ScopedTranAdaptiveEnv(const ScopedTranAdaptiveEnv&) = delete;
-    ScopedTranAdaptiveEnv& operator=(const ScopedTranAdaptiveEnv&) = delete;
-
-private:
-    static constexpr const char* kName = "MCSM_TRAN_ADAPTIVE";
-    bool had_ = false;
-    std::string old_;
-};
 
 // --- TranOptions validation ----------------------------------------------
 
@@ -193,12 +166,45 @@ TEST(AdaptiveLte, MatchesFixedGridTimingWithFewerSteps) {
         EXPECT_LT(st.steps_accepted,
                   static_cast<long long>(wr.size()));
     }
+
+    // The same stimuli through a NOR2 CSM model cell, the transient that
+    // serve-tier exact queries and surface builds run: adaptive delay and
+    // slew within max(5%, 2 ps) of the fixed grid.
+    core::CharOptions copt;
+    copt.transient_caps = false;
+    copt.grid_points = 7;
+    const core::CsmModel nor = core::Characterizer(lib).characterize(
+        "NOR2", core::ModelKind::kMcsm, {"A", "B"}, copt);
+    for (const engine::ScenarioSpec& spec : specs) {
+        core::ModelLoadSpec load;
+        load.cap = spec.load.cap;
+        const auto out_wave = [&](const TranOptions& o) {
+            core::ModelCell cell(nor, spec.inputs, load);
+            return cell.run(o).node_waveform(cell.out_node());
+        };
+        const wave::Waveform wr = out_wave(fixed);
+        const wave::Waveform wa = out_wave(fast);
+
+        const auto t_in =
+            wave::crossing(spec.inputs.at("A"), t.vdd, 0.5, /*rising=*/false);
+        ASSERT_TRUE(t_in.has_value());
+        const double delay_r = t50_rise(wr, t.vdd) - *t_in;
+        const double delay_a = t50_rise(wa, t.vdd) - *t_in;
+        EXPECT_LT(std::fabs(delay_a - delay_r),
+                  std::max(0.05 * std::fabs(delay_r), 2e-12))
+            << "model scenario " << spec.name;
+
+        const auto slew_r = wave::slew_10_90(wr, t.vdd, /*rising=*/true);
+        const auto slew_a = wave::slew_10_90(wa, t.vdd, /*rising=*/true);
+        ASSERT_TRUE(slew_r.has_value() && slew_a.has_value());
+        EXPECT_LT(std::fabs(*slew_a - *slew_r),
+                  std::max(0.05 * *slew_r, 2e-12))
+            << "model scenario " << spec.name;
+        EXPECT_LT(wa.size(), wr.size()) << "model scenario " << spec.name;
+    }
 }
 
 TEST(FixedGrid, JacobianReuseTracksPlainNewton) {
-    // This test is about the *fixed-grid* reuse path: identical record
-    // grids are part of the claim, so pin the env override off.
-    ScopedTranAdaptiveEnv env(nullptr);
     const tech::Technology t = tech::make_tech130();
     const cells::CellLibrary lib(t);
     const auto specs = nor2_specs(t, 1);
@@ -225,10 +231,43 @@ TEST(FixedGrid, JacobianReuseTracksPlainNewton) {
     }
     EXPECT_LT(max_dv, 1e-5);
 
+    // Plain Newton factors at every iteration and never reuses a step's LU.
+    const auto& sp = a[0].result.stats();
+    EXPECT_EQ(sp.jacobian_reuse_steps, 0);
+    EXPECT_EQ(sp.lu_refactors, sp.newton_iters);
+
     const auto& st = b[0].result.stats();
     EXPECT_GT(st.jacobian_reuse_steps, 0);
     EXPECT_GT(st.lu_refactors, 0);
     EXPECT_LT(st.lu_refactors, st.steps_accepted);
+}
+
+TEST(FixedGrid, SubdivisionThatStopsAdvancingTimeThrows) {
+    // One Newton iteration against an unreachable tolerance fails every
+    // step that moves the solution, so once the ramp starts the step is
+    // halved until t + h == t. A zero-length step leaves the solution
+    // unchanged and would "converge"; the engine must throw instead of
+    // accepting such sub-steps forever.
+    for (const bool reuse : {false, true}) {
+        Circuit c;
+        const int in = c.node("in");
+        const int out = c.node("out");
+        c.add_vsource("VIN", in, Circuit::kGround,
+                      SourceSpec::pwl(wave::piecewise_edges(
+                          0.0, {{100e-12, 50e-12, 1.2}})));
+        c.add_resistor("R1", in, out, 1e3);
+        c.add_capacitor("C1", out, Circuit::kGround, 1e-15);
+
+        TranOptions o;
+        o.tstop = 300e-12;
+        o.dt = 10e-12;
+        o.max_newton = 1;
+        o.vtol = 1e-30;
+        o.max_subdivisions = 60;
+        o.reuse_jacobian = reuse;
+        EXPECT_THROW(spice::solve_tran(c, o), NumericalError)
+            << "reuse_jacobian=" << reuse;
+    }
 }
 
 TEST(AdaptiveLte, RejectionAndRefreshCountersExercised) {
@@ -298,8 +337,7 @@ int ulp_diff(double a, double b) {
     return 9;
 }
 
-// An RC/source-only circuit: every device lands in LinearBatch on the
-// sparse backend (V sources with dc and pwl specs, I source, resistor
+// An RC/source-only circuit: every device lands in LinearBatch (V sources with dc and pwl specs, I source, resistor
 // ladder, grounded and floating caps).
 Circuit make_linear_circuit() {
     Circuit c;
@@ -323,7 +361,6 @@ Circuit make_linear_circuit() {
 
 TEST(LinearBatch, MatchesVirtualStampAtUlpScale) {
     Circuit c = make_linear_circuit();
-    c.set_solver_backend(SolverBackend::kSparse);
     c.prepare();
     spice::SolverWorkspace& ws = c.workspace();
     ASSERT_GT(ws.linear_batch().size(), 0u);
@@ -391,7 +428,6 @@ TEST(Breakpoints, UlpCoincidentBreakpointsAreNotDoubleStepped) {
                       0.0, {{std::nextafter(t_bp, 1.0), 40e-12, 1.2}})));
     c.add_resistor("R1", a, b, 1e3);
     c.add_capacitor("C1", b, Circuit::kGround, 20e-15);
-    c.set_solver_backend(SolverBackend::kSparse);
 
     const TranOptions fast = spice::fast_tran_options(1.0e-9, 2e-12);
     const TranResult res = spice::solve_tran(c, fast);
@@ -408,39 +444,6 @@ TEST(Breakpoints, UlpCoincidentBreakpointsAreNotDoubleStepped) {
     EXPECT_LE(at_bp, 1);
     // And the run reaches tstop.
     EXPECT_NEAR(times.back(), 1.0e-9, 1e-15);
-}
-
-// --- environment override -------------------------------------------------
-
-TEST(EnvOverride, TranAdaptiveUpgradesFixedGridCalls) {
-    const tech::Technology t = tech::make_tech130();
-    const cells::CellLibrary lib(t);
-    const auto specs = nor2_specs(t, 1);
-
-    TranOptions fixed;
-    fixed.tstop = 1.6e-9;
-    fixed.dt = 4e-12;
-
-    std::vector<engine::ScenarioResult> plain;
-    {
-        ScopedTranAdaptiveEnv off(nullptr);
-        plain = engine::run_golden_scenarios(lib, specs, fixed, 1);
-    }
-    std::vector<engine::ScenarioResult> forced;
-    {
-        ScopedTranAdaptiveEnv on("1");
-        forced = engine::run_golden_scenarios(lib, specs, fixed, 1);
-    }
-
-    // The upgraded run records at accepted (LTE-chosen) steps instead of
-    // the fixed grid, so the time axes differ while timing agrees within
-    // the adaptive default budget.
-    EXPECT_NE(plain[0].result.times(), forced[0].result.times());
-    const wave::Waveform wp =
-        plain[0].result.node_waveform(plain[0].out_node);
-    const wave::Waveform wf =
-        forced[0].result.node_waveform(forced[0].out_node);
-    EXPECT_LT(std::fabs(t50_rise(wf, t.vdd) - t50_rise(wp, t.vdd)), 2e-12);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Serving-layer benchmark and correctness gates: binary vs text model
-// store (size, cold-load latency, bit-exact round trip), TimingService
-// batch throughput (LUT fast path, exact transient path, serial-vs-parallel
-// determinism), the 3-pin MIS arc path (6-D characterize-on-miss + surface
-// build + warm throughput), the RC pi-load path (throughput + a loose
-// LUT-vs-exact sanity gate; the tight 5% gate lives in test_serve_golden)
-// and the socket front end (4 concurrent pipelined clients through
-// net::NetServer; gated at >= 50% of the in-process warm LUT rate, with a
-// bitwise-identity check against the same batch run in process).
+// Serving-layer benchmark and correctness gates: the single-entry model
+// pack vs the text export (size, cold-load latency, bit-exact round
+// trips), TimingService batch throughput (LUT fast path, exact transient
+// path, serial-vs-parallel determinism), the 3-pin MIS arc path (6-D
+// characterize-on-miss + surface build + warm throughput), the RC pi-load
+// path (throughput + a loose LUT-vs-exact sanity gate; the tight 5% gate
+// lives in test_serve_golden) and the socket front end (4 concurrent
+// pipelined clients through net::NetServer; gated at >= 50% of the
+// in-process warm LUT rate -- the median ratio of three interleaved
+// in-process/socket pairs -- with a bitwise-identity check against the
+// same batch run in process).
 // Results are written as machine-readable BENCH_serve.json ({"threads",
 // "model_store": {...}, "timing_service": {...}, "mis3": {...},
 // "pi_load": {...}, "net": {...}}) for CI trend tracking, next to
@@ -20,7 +22,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +33,7 @@
 #include "net/client.h"
 #include "net/query_text.h"
 #include "net/server.h"
-#include "serve/model_store.h"
+#include "serve/mapped_store.h"
 #include "serve/repository.h"
 #include "serve/timing_service.h"
 
@@ -52,12 +53,6 @@ double best_of(int reps, const std::function<void()>& fn) {
     double best = 1e300;
     for (int r = 0; r < reps; ++r) best = std::min(best, wall_ms(fn));
     return best;
-}
-
-std::string binary_bytes(const core::CsmModel& model) {
-    std::stringstream ss;
-    serve::write_model_binary(ss, model);
-    return ss.str();
 }
 
 // Off-grid query mix over both arcs of the NOR2 surface family plus the
@@ -100,27 +95,34 @@ int main() {
     fs::remove_all(dir);
     fs::create_directories(dir);
     const std::string text_path = (dir / "nor.csm").string();
-    const std::string bin_path = (dir / "nor.csm.bin").string();
+    const std::string pack_path = (dir / "nor.mcsmpack").string();
+    const std::string nor_key =
+        serve::ModelKey::arc("NOR2", {"A", "B"}).to_string();
 
     // --- model store: size, cold load, fidelity --------------------------
     core::save_model(text_path, nor);
-    serve::save_model_binary(bin_path, nor);
+    {
+        serve::PackWriter writer;
+        writer.add_model(nor_key, nor);
+        writer.write(pack_path);
+    }
     const auto text_bytes = fs::file_size(text_path);
-    const auto bin_bytes = fs::file_size(bin_path);
+    const auto pack_bytes = fs::file_size(pack_path);
+    const auto load_pack = [&] {
+        return serve::MappedPack::map(pack_path)->materialize_model(nor_key);
+    };
 
     const double load_text_ms =
         best_of(3, [&] { (void)core::load_model(text_path); });
-    const double load_bin_ms =
-        best_of(3, [&] { (void)serve::load_model_binary(bin_path); });
+    const double load_pack_ms = best_of(3, [&] { (void)load_pack(); });
 
-    check.check(binary_bytes(serve::load_model_binary(bin_path)) ==
-                    binary_bytes(nor),
-                "binary store round trip is bit-exact");
-    check.check(binary_bytes(core::load_model(text_path)) ==
-                    binary_bytes(nor),
-                "text store round trip is bit-exact (hexfloat)");
-    check.check(bin_bytes < text_bytes,
-                "binary store is smaller than the text store");
+    const std::string nor_bytes = serve::encode_model(nor);
+    check.check(serve::encode_model(load_pack()) == nor_bytes,
+                "pack store round trip is bit-exact");
+    check.check(serve::encode_model(core::load_model(text_path)) == nor_bytes,
+                "text export round trip is bit-exact (hexfloat)");
+    check.check(pack_bytes < text_bytes,
+                "single-entry pack is smaller than the text export");
     // The cold-load latency comparison is reported (below and in the JSON)
     // but not gated: sub-ms wall clocks are noise-dominated on shared CI
     // runners.
@@ -355,39 +357,56 @@ int main() {
         check.check(net_lines_parse, "every rendered query line parses");
         // In-process reference over the SAME parsed queries: what the
         // socket responses must match bitwise. Its wall clock, taken
-        // back-to-back with the socket run, is the fair throughput
-        // baseline (warm_qps was measured minutes earlier in this
-        // process; clock throttling between sections would skew a
-        // cross-section ratio both ways).
+        // back-to-back with a socket run, is the fair throughput baseline
+        // (warm_qps was measured minutes earlier in this process; clock
+        // throttling between sections would skew a cross-section ratio
+        // both ways). Three interleaved reference/socket pairs, gated on
+        // the median per-pair ratio, keep one descheduled run (parallel
+        // ctest, a noisy neighbour) from deciding the gate.
         std::vector<serve::TimingResult> ref_results;
-        const double ref_ms =
-            wall_ms([&] { ref_results = service.run_batch(net_ref); });
-        const double ref_qps =
-            1e3 * static_cast<double>(net_total) / ref_ms;
-
         std::vector<std::string> received(net_clients);
-        const double net_ms = wall_ms([&] {
-            std::vector<std::thread> clients;
-            for (std::size_t c = 0; c < net_clients; ++c) {
-                clients.emplace_back([&, c] {
-                    net::LineClient cli =
-                        net::LineClient::connect_unix(nopt.unix_path);
-                    cli.send_text(request[c]);
-                    cli.shutdown_write();
-                    std::string& sink = received[c];
-                    char buf[1 << 16];
-                    for (;;) {
-                        const ssize_t n = ::recv(cli.fd(), buf, sizeof buf, 0);
-                        if (n <= 0) break;
-                        sink.append(buf, static_cast<std::size_t>(n));
-                    }
-                });
-            }
-            for (auto& t : clients) t.join();
-        });
+        struct Pair {
+            double ref_ms;
+            double net_ms;
+        };
+        std::vector<Pair> pairs;
+        for (int pair = 0; pair < 3; ++pair) {
+            const double ref_ms =
+                wall_ms([&] { ref_results = service.run_batch(net_ref); });
+            for (std::string& sink : received) sink.clear();
+            const double net_ms = wall_ms([&] {
+                std::vector<std::thread> clients;
+                for (std::size_t c = 0; c < net_clients; ++c) {
+                    clients.emplace_back([&, c] {
+                        net::LineClient cli =
+                            net::LineClient::connect_unix(nopt.unix_path);
+                        cli.send_text(request[c]);
+                        cli.shutdown_write();
+                        std::string& sink = received[c];
+                        char buf[1 << 16];
+                        for (;;) {
+                            const ssize_t n =
+                                ::recv(cli.fd(), buf, sizeof buf, 0);
+                            if (n <= 0) break;
+                            sink.append(buf, static_cast<std::size_t>(n));
+                        }
+                    });
+                }
+                for (auto& t : clients) t.join();
+            });
+            pairs.push_back({ref_ms, net_ms});
+        }
         server.stop();
         server_thread.join();
-        net_qps = 1e3 * static_cast<double>(net_total) / net_ms;
+        // Socket share of the in-process rate per pair; the reported rates
+        // come from the median pair.
+        std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
+            return a.ref_ms / a.net_ms < b.ref_ms / b.net_ms;
+        });
+        const Pair& mid = pairs[pairs.size() / 2];
+        const double net_ratio = mid.ref_ms / mid.net_ms;
+        net_qps = 1e3 * static_cast<double>(net_total) / mid.net_ms;
+        net_ref_qps = 1e3 * static_cast<double>(net_total) / mid.ref_ms;
 
         // Bitwise identity + per-connection ordering: response i on each
         // connection carries id i and the exact doubles run_batch produced.
@@ -417,10 +436,15 @@ int main() {
                     "socket responses are bitwise-identical to the "
                     "in-process batch (" + std::to_string(matched) + "/" +
                         std::to_string(net_total) + ")");
-        check.check(net_qps >= 0.5 * ref_qps,
+        std::string ratios;
+        for (const Pair& p : pairs) {
+            if (!ratios.empty()) ratios += '/';
+            ratios += std::to_string(p.ref_ms / p.net_ms);
+        }
+        check.check(net_ratio >= 0.5,
                     "socket front end holds >= 50% of in-process warm LUT "
-                    "throughput with 4 concurrent clients");
-        net_ref_qps = ref_qps;
+                    "throughput with 4 concurrent clients (median of the "
+                    "pair ratios " + ratios + ")");
     }
 
     // Measurements done; drop the scratch store before any early return in
@@ -428,13 +452,13 @@ int main() {
     fs::remove_all(dir);
 
     // --- report ----------------------------------------------------------
-    std::printf("# store: text %zu B, binary %zu B (%.2fx smaller); cold "
-                "load text %.3f ms, binary %.3f ms (%.1fx faster)\n",
+    std::printf("# store: text export %zu B, pack %zu B (%.2fx smaller); "
+                "cold load text %.3f ms, pack %.3f ms (%.1fx faster)\n",
                 static_cast<std::size_t>(text_bytes),
-                static_cast<std::size_t>(bin_bytes),
+                static_cast<std::size_t>(pack_bytes),
                 static_cast<double>(text_bytes) /
-                    static_cast<double>(bin_bytes),
-                load_text_ms, load_bin_ms, load_text_ms / load_bin_ms);
+                    static_cast<double>(pack_bytes),
+                load_text_ms, load_pack_ms, load_text_ms / load_pack_ms);
     std::printf("# serve: surfaces built in %.1f ms; warm LUT batch %zu "
                 "queries -> %.0f q/s (%zu threads), %.0f q/s serial; exact "
                 "transient path %.0f q/s\n",
@@ -465,13 +489,13 @@ int main() {
         std::fprintf(f, "{\n  \"threads\": %zu,\n", hardware_threads());
         std::fprintf(
             f,
-            "  \"model_store\": {\"text_bytes\": %zu, \"binary_bytes\": "
+            "  \"model_store\": {\"text_bytes\": %zu, \"pack_bytes\": "
             "%zu, \"size_ratio\": %.3f, \"cold_load_text_ms\": %.4f, "
-            "\"cold_load_binary_ms\": %.4f, \"load_speedup\": %.2f},\n",
+            "\"cold_load_pack_ms\": %.4f, \"load_speedup\": %.2f},\n",
             static_cast<std::size_t>(text_bytes),
-            static_cast<std::size_t>(bin_bytes),
-            static_cast<double>(text_bytes) / static_cast<double>(bin_bytes),
-            load_text_ms, load_bin_ms, load_text_ms / load_bin_ms);
+            static_cast<std::size_t>(pack_bytes),
+            static_cast<double>(text_bytes) / static_cast<double>(pack_bytes),
+            load_text_ms, load_pack_ms, load_text_ms / load_pack_ms);
         std::fprintf(
             f,
             "  \"timing_service\": {\"surface_build_ms\": %.2f, "

@@ -1,7 +1,8 @@
 // mcsm_lint: standalone pre-flight auditor for MCSM store artifacts.
 //
-// Walks the given store files (.csm.bin / .csm / .surf.bin) or directories
-// of them through analysis::audit_path and prints every diagnostic --
+// Walks the given store files (.mcsmpack packs -- every model and surface
+// entry -- or .csm text exports) or directories of them through
+// analysis::audit_path and prints every diagnostic --
 // severity, rule id, offending objects, fix hint. The same checks gate
 // ModelRepository loads (RepositoryOptions::lint_on_load); this tool runs
 // them without a serving process, e.g. in CI over a model store artifact.
@@ -34,7 +35,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: mcsm_lint [--strict] [--demo] [path ...]\n"
-    "  path      model/surface store file (.csm.bin, .csm, .surf.bin) or a\n"
+    "  path      store file (.mcsmpack pack, .csm text export) or a\n"
     "            directory of them\n"
     "  --strict  exit 1 on warnings too, not just errors\n"
     "  --demo    lint built-in demonstration artifacts (no files needed)\n";

@@ -71,13 +71,14 @@ Query line (whitespace-separated; '#' starts a comment):
 Result CSV:  index,cell,delay_ps,slew_ps,path,error
 
 Environment:
-  MCSM_MODEL_DIR    model store directory (default: in-memory only).
-                    Models missing from the store are characterized on
-                    demand and written back (corner models under
-                    corner-suffixed keys), so the second run serves from
-                    disk.
-  MCSM_SURFACE_DIR  arc-surface store directory: cold surface builds are
-                    persisted and reloaded by later runs.
+  MCSM_MODEL_DIR    model store directory, one <key>.mcsmpack per model
+                    (default: in-memory only). Models missing from the
+                    store are characterized on demand and written back
+                    (corner models under corner-suffixed keys), so the
+                    second run serves from disk.
+  MCSM_SURFACE_DIR  arc-surface store directory, one <arc>.mcsmpack per
+                    arc: cold surface builds are persisted and mapped
+                    zero-parse by later runs.
   MCSM_TRACE=<path>         capture a Chrome trace-event JSON of the run
                             (load in Perfetto / chrome://tracing); spans
                             cover batches, queries, characterizations and

@@ -39,8 +39,9 @@ Usage:
       SIGINT/SIGTERM flush the pending batch, drain responses and exit.
 
   timing_serverd --build-pack <pack> --model-dir <dir> [--surface-dir <dir>]
-      Bundle a per-file binary store into one mmap-able pack file
-      (published durably: fsync + rename) and exit.
+      Merge a store's single-entry packs (*.mcsmpack) into one mmap-able
+      pack file (published durably: fsync + rename) and exit. Write the
+      pack outside the store directories.
 
   timing_serverd --client --unix <path> | --client --port <n>
       Pipe stdin to a running daemon and stream its responses to stdout
@@ -59,9 +60,9 @@ Serve options:
                        hot-reloadable
   --reload-ms <n>      poll the pack file for replacement every n ms
                        (a "reload" protocol line forces a check any time)
-  --model-dir <dir>    per-file model store fallback; misses characterize
-                       on demand and write back
-  --surface-dir <dir>  per-file surface store fallback
+  --model-dir <dir>    model store fallback (one pack per model); misses
+                       characterize on demand and write back
+  --surface-dir <dir>  surface store fallback (one pack per arc)
   --batch-max <n>      micro-batch size cap              (default 512)
   --linger-us <n>      micro-batch latency bound in us   (default 200)
   --max-pending <n>    admission cap; excess queries get "err <id> busy"

@@ -9,6 +9,7 @@
 
 #include "common/error.h"
 #include "core/model_io.h"
+#include "serve/mapped_store.h"
 
 namespace mcsm::analysis {
 
@@ -249,15 +250,21 @@ LintReport audit_file(const std::string& path) {
                     "delete it and let the repository rebuild it";
     };
     try {
-        if (ends_with(path, serve::kBinaryModelExt)) {
-            report.merge(audit_model(serve::load_model_binary(path)));
-        } else if (ends_with(path, serve::kSurfaceExt)) {
-            report.merge(audit_surface(serve::load_surface_binary(path)));
+        if (ends_with(path, serve::kPackExt)) {
+            const auto pack = serve::MappedPack::map(path);
+            for (const std::string& name : pack->model_names())
+                report.merge(audit_model(pack->materialize_model(name)));
+            for (const std::string& name : pack->surface_names()) {
+                const serve::MappedSurface& s = *pack->find_surface(name);
+                report.merge(audit_surface(serve::ArcSurfaceData{
+                    std::string(s.arc_id), s.dt, s.settle, s.model_check,
+                    lut::NdTable(s.delay), lut::NdTable(s.slew)}));
+            }
         } else if (ends_with(path, serve::kTextModelExt)) {
             report.merge(audit_model(core::load_model(path)));
         } else {
-            unreadable("unknown store extension (expected .csm.bin, .csm, "
-                       "or .surf.bin)");
+            unreadable("unknown store extension (expected .mcsmpack or "
+                       ".csm)");
         }
     } catch (const ModelError& e) {
         unreadable(e.what());
@@ -280,8 +287,7 @@ LintReport audit_path(const std::string& path) {
         for (const auto& entry : fs::directory_iterator(path, ec)) {
             if (!entry.is_regular_file()) continue;
             const std::string p = entry.path().string();
-            if (ends_with(p, serve::kBinaryModelExt) ||
-                ends_with(p, serve::kSurfaceExt) ||
+            if (ends_with(p, serve::kPackExt) ||
                 ends_with(p, serve::kTextModelExt))
                 files.push_back(p);
         }

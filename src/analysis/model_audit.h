@@ -17,8 +17,8 @@
 //   warning model.negative-capacitance  Co/Cin table dips below zero
 //   error   surface.nonpositive-slew  slew table value <= 0
 //   error   surface.bad-parameters    dt/settle not finite and positive
-//   error   store.unreadable          file failed to load (corrupt,
-//                                     truncated, wrong kind, bad checksum)
+//   error   store.unreadable          file failed to load or map
+//                                     (corrupt, truncated, bad checksum)
 //   info    store.scanned             directory summary
 //
 // ModelRepository runs audit_model on every load when
@@ -46,8 +46,9 @@ LintReport audit_model(const core::CsmModel& model);
 
 LintReport audit_surface(const serve::ArcSurfaceData& surface);
 
-// Audits one store file by extension (.csm.bin / .csm / .surf.bin); a file
-// that fails to load yields a store.unreadable error instead of throwing.
+// Audits one store file by extension: every model and surface entry of a
+// .mcsmpack pack, or a .csm text export. A file that fails to load or map
+// yields a store.unreadable error instead of throwing.
 LintReport audit_file(const std::string& path);
 
 // Audits `path`: a store file, or a directory scanned (non-recursively)

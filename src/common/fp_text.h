@@ -1,9 +1,9 @@
-// Round-trip-exact text formatting for doubles. The model/table text caches
-// must reload bit-identically (the binary store asserts bit-exactness
-// against them), so values are written as C99 hexadecimal float literals
-// ("%a", e.g. 0x1.8p+3) and parsed with strtod, which accepts both hex and
-// the legacy decimal files. iostream operator>> is avoided on the read side
-// because libstdc++ does not parse hexfloat through num_get.
+// Round-trip-exact text formatting for doubles. The model/table text
+// exports must reload bit-identically (tests assert bit-exactness against
+// the pack encoding), so values are written as C99 hexadecimal float
+// literals ("%a", e.g. 0x1.8p+3) and parsed with strtod, which accepts both
+// hex and the legacy decimal files. iostream operator>> is avoided on the
+// read side because libstdc++ does not parse hexfloat through num_get.
 //
 // Locale handling: printf/strtod use the process LC_NUMERIC radix
 // character. Files must stay portable across locales, so the writer

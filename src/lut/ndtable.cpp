@@ -21,6 +21,21 @@ NdTable::NdTable(std::vector<Axis> axes, std::string name)
     values_.assign(total, 0.0);
 }
 
+NdTable::NdTable(const TableView& view)
+    : NdTable(
+          [&] {
+              std::vector<Axis> axes;
+              for (std::size_t d = 0; d < view.rank(); ++d)
+                  axes.emplace_back(
+                      std::string(view.axis(d).name),
+                      std::vector<double>(view.axis(d).knots.begin(),
+                                          view.axis(d).knots.end()));
+              return axes;
+          }(),
+          std::string(view.name())) {
+    values_.assign(view.values().begin(), view.values().end());
+}
+
 std::size_t NdTable::flat_index(std::span<const std::size_t> idx) const {
     require(idx.size() == axes_.size(), "NdTable: index rank mismatch");
     std::size_t flat = 0;

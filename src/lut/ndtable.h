@@ -14,11 +14,15 @@
 
 namespace mcsm::lut {
 
+class TableView;
+
 class NdTable {
 public:
     NdTable() = default;
     // Creates a zero-filled table over the given axes.
     explicit NdTable(std::vector<Axis> axes, std::string name = {});
+    // Owned copy of a view's axes, values and name (bit-exact).
+    explicit NdTable(const TableView& view);
 
     const std::string& name() const { return name_; }
     std::size_t rank() const { return axes_.size(); }

@@ -122,16 +122,28 @@ HistogramStats Histogram::stats() const {
   out.min = min_.load(std::memory_order_relaxed);
   out.max = max_.load(std::memory_order_relaxed);
 
-  // Percentile = lower bound of the bucket holding the q-th sample. Uses the
-  // locally captured counts so a concurrent observe() can't skew the walk.
+  // Percentile: find the bucket holding the q-th sample, place the sample
+  // inside it as if the bucket's samples were spread evenly over its
+  // width, and clamp to the observed [min, max] (a bucket's lower edge
+  // alone understates by up to a bucket width, ~19%). Uses the locally
+  // captured counts so a concurrent observe() can't skew the walk.
   auto percentile = [&](double q) {
-    long long rank = static_cast<long long>(q * static_cast<double>(total - 1));
+    const double rank = q * static_cast<double>(total - 1);
     long long seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
+    int i = 0;
+    for (; i < kBuckets - 1; ++i) {
+      if (static_cast<double>(seen + counts[i]) > rank) break;
       seen += counts[i];
-      if (seen > rank) return bucket_lower_bound(i);
     }
-    return bucket_lower_bound(kBuckets - 1);
+    const double lo = bucket_lower_bound(i);
+    const double hi = bucket_lower_bound(i + 1);
+    const double frac =
+        counts[i] > 0 ? (rank - static_cast<double>(seen) + 0.5) /
+                            static_cast<double>(counts[i])
+                      : 0.0;
+    // min/max, not std::clamp: a snapshot racing the very first observe()
+    // can read min > max, which std::clamp does not allow.
+    return std::max(out.min, std::min(lo + frac * (hi - lo), out.max));
   };
   out.p50 = percentile(0.50);
   out.p95 = percentile(0.95);

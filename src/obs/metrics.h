@@ -112,8 +112,8 @@ struct HistogramStats {
 // Log-bucketed histogram: 4 buckets per octave (bucket k spans
 // [2^(k/4), 2^((k+1)/4))), covering [1, 2^38) -- for nanosecond latencies
 // that is 1 ns .. ~275 s. Values below/above clamp to the edge buckets.
-// Percentiles are reconstructed at snapshot time from bucket counts
-// (resolution ~19% worst case, plenty for p50/p95/p99 dashboards).
+// Percentiles are reconstructed at snapshot time from bucket counts,
+// interpolated within the bucket and clamped to the observed [min, max].
 class Histogram {
  public:
   static constexpr int kBucketsPerOctave = 4;

@@ -5,21 +5,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/error.h"
 
 // The zero-parse contract hands out spans over raw file bytes as doubles;
-// that is only the on-disk format (little-endian IEEE-754, like the v1/v2
-// stores) on a little-endian host. Big-endian ports would need a decoding
-// reader here.
+// that is only the on-disk format (little-endian IEEE-754) on a
+// little-endian host. Big-endian ports would need a decoding reader here.
 static_assert(std::endian::native == std::endian::little,
               "mapped_store: the zero-parse pack requires a little-endian "
               "host");
@@ -76,16 +73,21 @@ void put_padded_str(std::string& buf, std::string_view s) {
     while (buf.size() % 8 != 0) buf.push_back('\0');
 }
 
+// Count, then the doubles' bytes as they sit in memory (the host is
+// little-endian, see the static_assert above).
+void put_f64_array(std::string& buf, std::span<const double> v) {
+    put_u64(buf, v.size());
+    buf.append(reinterpret_cast<const char*>(v.data()), v.size() * 8);
+}
+
 void put_table(std::string& buf, const lut::NdTable& table) {
     put_padded_str(buf, table.name());
     put_u64(buf, table.rank());
     for (const lut::Axis& ax : table.axes()) {
         put_padded_str(buf, ax.name());
-        put_u64(buf, ax.knots().size());
-        for (double k : ax.knots()) put_f64(buf, k);
+        put_f64_array(buf, ax.knots());
     }
-    put_u64(buf, table.values().size());
-    for (double v : table.values()) put_f64(buf, v);
+    put_f64_array(buf, table.values());
 }
 
 // --- bounds-checked cursor over the mapped bytes (map-time validation) ---
@@ -159,8 +161,12 @@ lut::TableView read_table_view(MapCursor& c) {
     require(nvalues <= c.remaining() / 8,
             "mapped_store: implausible value count");
     const std::span<const double> values = c.f64_span(nvalues);
-    for (double v : values)
-        require(std::isfinite(v), "mapped_store: non-finite table value");
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        if (!std::isfinite(values[i]))
+            throw ModelError("mapped_store: table '" + std::string(name) +
+                             "' value " + std::to_string(i) +
+                             " is not finite (corrupt payload)");
+    }
     // TableView's own constructor re-checks value_count == product of axis
     // sizes and re-validates monotonicity.
     return lut::TableView({axes.data(), rank}, values, name);
@@ -184,6 +190,69 @@ MappedSurface read_surface(MapCursor& c) {
     return s;
 }
 
+// A string list: count u64, then padded strings. The count is checked
+// against the bytes left (every string carries an 8-byte length prefix)
+// before anything is allocated.
+std::vector<std::string_view> read_strings(MapCursor& c) {
+    const std::uint64_t n = c.u64();
+    require(n <= c.remaining() / 8,
+            "mapped_store: implausible string count (corrupt payload)");
+    std::vector<std::string_view> v;
+    v.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) v.push_back(c.padded_str());
+    return v;
+}
+
+// Validates a model entry with every check the model shape implies: header
+// ranges, counts, finite values and monotone axes (read_table_view), and
+// the table ranks CsmModel::check_consistent requires.
+MappedModel read_model(MapCursor& c) {
+    MappedModel m;
+    const std::uint64_t kind = c.u64();
+    require(kind <= static_cast<std::uint64_t>(core::ModelKind::kMcsm),
+            "mapped_store: unknown model kind");
+    m.kind = static_cast<core::ModelKind>(kind);
+    m.vdd = c.f64();
+    m.dv_margin = c.f64();
+    m.temp_c = c.f64();
+    require(std::isfinite(m.vdd) && m.vdd > 0.0,
+            "mapped_store: vdd = " + std::to_string(m.vdd) +
+                " (must be finite and > 0)");
+    require(std::isfinite(m.dv_margin) && m.dv_margin >= 0.0,
+            "mapped_store: dv_margin = " + std::to_string(m.dv_margin) +
+                " (must be finite and >= 0)");
+    require(std::isfinite(m.temp_c), "mapped_store: non-finite temp_c");
+    m.cell_name = c.padded_str();
+    m.pins = read_strings(c);
+    m.fixed_pins = read_strings(c);
+    const std::uint64_t nfixed = c.u64();
+    m.fixed_values = c.f64_span(nfixed);
+    m.internals = read_strings(c);
+    require(m.fixed_pins.size() == m.fixed_values.size(),
+            "mapped_store: fixed pin/value count mismatch");
+
+    const std::size_t p = m.pins.size();
+    const std::size_t k = m.internals.size();
+    require(p >= 1, "mapped_store: model has no switching pin");
+    require(m.kind == core::ModelKind::kMcsm || k == 0,
+            "mapped_store: only MCSM models carry internal nodes");
+    // i_out, i_internal[k], c_miller[p], c_out, c_internal[k],
+    // c_miller_internal[p*k] share rank p + k + 1; the trailing c_in[p]
+    // are 1-D. No reserve: p*k comes from parsed counts, and a truncated
+    // payload fails within a few reads.
+    const std::size_t ntables = 2 + 2 * k + 2 * p + p * k;
+    for (std::size_t i = 0; i < ntables; ++i) {
+        m.tables.push_back(read_table_view(c));
+        const std::size_t rank = i + p >= ntables ? 1 : p + k + 1;
+        require(m.tables.back().rank() == rank,
+                "mapped_store: model table '" +
+                    std::string(m.tables.back().name()) +
+                    "' has the wrong rank for its pins and internals");
+    }
+    require(c.exhausted(), "mapped_store: trailing bytes after model");
+    return m;
+}
+
 MappedPack::FileId stat_to_id(const struct ::stat& st) {
     MappedPack::FileId id;
     id.dev = static_cast<std::uint64_t>(st.st_dev);
@@ -196,24 +265,54 @@ MappedPack::FileId stat_to_id(const struct ::stat& st) {
 
 }  // namespace
 
+std::string encode_model(const core::CsmModel& model) {
+    model.check_consistent();
+    std::string buf;
+    put_u64(buf, static_cast<std::uint64_t>(model.kind));
+    put_f64(buf, model.vdd);
+    put_f64(buf, model.dv_margin);
+    put_f64(buf, model.temp_c);
+    put_padded_str(buf, model.cell_name);
+    const auto put_strings = [&](const std::vector<std::string>& names) {
+        put_u64(buf, names.size());
+        for (const std::string& n : names) put_padded_str(buf, n);
+    };
+    put_strings(model.pins);
+    put_strings(model.fixed_pins);
+    put_f64_array(buf, model.fixed_values);
+    put_strings(model.internals);
+    put_table(buf, model.i_out);
+    for (const auto& t : model.i_internal) put_table(buf, t);
+    for (const auto& t : model.c_miller) put_table(buf, t);
+    put_table(buf, model.c_out);
+    for (const auto& t : model.c_internal) put_table(buf, t);
+    for (const auto& t : model.c_miller_internal) put_table(buf, t);
+    for (const auto& t : model.c_in) put_table(buf, t);
+    return buf;
+}
+
+std::uint64_t model_checksum(const core::CsmModel& model) {
+    const std::string bytes = encode_model(model);
+    return fnv1a_bytes(reinterpret_cast<const unsigned char*>(bytes.data()),
+                       bytes.size());
+}
+
 // --- PackWriter ----------------------------------------------------------
 
-void PackWriter::add(std::uint32_t kind, const std::string& name,
+void PackWriter::add(std::uint32_t kind, std::string name,
                      std::string payload) {
     require(!name.empty(), "PackWriter: empty entry name");
     require(by_name_.emplace(name, entries_.size()).second,
             "PackWriter: duplicate entry name " + name);
-    entries_.push_back(Entry{kind, name, std::move(payload)});
+    entries_.push_back(Entry{kind, std::move(name), std::move(payload)});
 }
 
 void PackWriter::add_model(const std::string& name,
                            const core::CsmModel& model) {
-    // Stored as the complete v2 envelope: the directory content_check is
-    // then FNV over those bytes == model_checksum(model), which surfaces
-    // reference to detect stale pairings.
-    std::ostringstream os;
-    write_model_binary(os, model);
-    add(kModelKind, name, std::move(os).str());
+    // The directory content_check is FNV over these bytes, i.e.
+    // model_checksum(model), which surfaces reference to detect stale
+    // pairings.
+    add(kModelKind, name, encode_model(model));
 }
 
 void PackWriter::add_surface(const std::string& name,
@@ -230,6 +329,11 @@ void PackWriter::add_surface(const std::string& name,
     put_table(buf, surface.delay);
     put_table(buf, surface.slew);
     add(kSurfaceKind, name, std::move(buf));
+}
+
+void PackWriter::add_pack(const MappedPack& pack) {
+    for (const MappedPack::RawEntry& e : pack.entries_)
+        add(e.kind, std::string(e.name), std::string(e.payload));
 }
 
 void PackWriter::write(const std::string& path) const {
@@ -303,34 +407,30 @@ void PackWriter::write(const std::string& path) const {
 
 PackWriter pack_from_dirs(const std::string& model_dir,
                           const std::string& surface_dir) {
-    PackWriter writer;
-    const auto scan = [](const std::string& dir, const char* ext,
-                         const auto& consume) {
-        if (dir.empty()) return;
+    std::vector<std::string> dirs;
+    for (const std::string& dir : {model_dir, surface_dir}) {
         std::error_code ec;
-        std::vector<fs::path> paths;
+        if (!dir.empty() &&
+            (dirs.empty() || !fs::equivalent(dirs.front(), dir, ec)))
+            dirs.push_back(dir);
+    }
+    PackWriter writer;
+    for (const std::string& dir : dirs) {
+        std::error_code ec;
+        std::vector<std::string> paths;
         for (const fs::directory_entry& entry :
              fs::directory_iterator(dir, ec)) {
-            if (ec) break;
             const std::string name = entry.path().filename().string();
-            if (name.size() > std::strlen(ext) &&
-                name.ends_with(ext) &&
+            if (name.size() > std::strlen(kPackExt) &&
+                name.ends_with(kPackExt) &&
                 name.find(".tmp.") == std::string::npos)
-                paths.push_back(entry.path());
+                paths.push_back(entry.path().string());
         }
         // Deterministic pack bytes for a given store state.
         std::sort(paths.begin(), paths.end());
-        for (const fs::path& p : paths) consume(p);
-    };
-    scan(model_dir, kBinaryModelExt, [&](const fs::path& p) {
-        std::string stem = p.filename().string();
-        stem.resize(stem.size() - std::strlen(kBinaryModelExt));
-        writer.add_model(stem, load_model_binary(p.string()));
-    });
-    scan(surface_dir, kSurfaceExt, [&](const fs::path& p) {
-        const ArcSurfaceData s = load_surface_binary(p.string());
-        writer.add_surface(s.arc_id, s);
-    });
+        for (const std::string& path : paths)
+            writer.add_pack(*MappedPack::map(path));
+    }
     return writer;
 }
 
@@ -364,17 +464,13 @@ std::shared_ptr<const MappedPack> MappedPack::map(const std::string& path) {
     const unsigned char* base = pack->base_;
     require(std::memcmp(base, kPackMagic, sizeof kPackMagic) == 0,
             "mapped_store: bad magic (not an MCSM pack): " + path);
-    MapCursor header(base, sizeof kPackMagic, kHeaderBytes);
     std::uint32_t version = 0;
     std::memcpy(&version, base + sizeof kPackMagic, 4);
-    const std::uint64_t file_size = [&] {
-        MapCursor c(base, sizeof kPackMagic + 8, kHeaderBytes);
-        return c.u64();
-    }();
     require(version == kPackFormatVersion,
             "mapped_store: unsupported pack version " +
                 std::to_string(version));
-    MapCursor c(base, sizeof kPackMagic + 8 + 8, kHeaderBytes);
+    MapCursor c(base, sizeof kPackMagic + 8, kHeaderBytes);
+    const std::uint64_t file_size = c.u64();
     const std::uint64_t entry_count = c.u64();
     const std::uint64_t dir_offset = c.u64();
     const std::uint64_t body_offset = c.u64();
@@ -414,20 +510,21 @@ std::shared_ptr<const MappedPack> MappedPack::map(const std::string& path) {
         require(payload_off % 8 == 0 && payload_off <= size &&
                     payload_size <= size - payload_off,
                 "mapped_store: directory payload out of bounds");
-        std::string name(reinterpret_cast<const char*>(base + name_off),
-                         name_len);
+        const std::string_view name(
+            reinterpret_cast<const char*>(base + name_off), name_len);
         require(!name.empty(), "mapped_store: empty entry name");
+        pack->entries_.push_back(MappedPack::RawEntry{
+            kind, name,
+            {reinterpret_cast<const char*>(base + payload_off),
+             payload_size}});
+        MapCursor pc(base, payload_off, payload_off + payload_size);
         if (kind == kSurfaceKind) {
-            MapCursor sc(base, payload_off, payload_off + payload_size);
-            require(pack->surfaces_.emplace(std::move(name),
-                                            read_surface(sc)).second,
+            require(pack->surfaces_.emplace(name, read_surface(pc)).second,
                     "mapped_store: duplicate surface entry");
         } else if (kind == kModelKind) {
-            ModelEntry entry;
-            entry.payload = reinterpret_cast<const char*>(base + payload_off);
-            entry.size = payload_size;
-            entry.check = content_check;
-            require(pack->models_.emplace(std::move(name), entry).second,
+            MappedModel model = read_model(pc);
+            model.check = content_check;
+            require(pack->models_.emplace(name, std::move(model)).second,
                     "mapped_store: duplicate model entry");
         } else {
             throw ModelError("mapped_store: unknown entry kind " +
@@ -456,26 +553,54 @@ core::CsmModel MappedPack::materialize_model(const std::string& name) const {
     const auto it = models_.find(name);
     require(it != models_.end(),
             "mapped_store: no model '" + name + "' in pack " + path_);
-    // The payload is the standard v2 envelope; reuse its hardened reader.
-    std::istringstream is(
-        std::string(it->second.payload, it->second.size));
-    return read_model_binary(is);
+    const MappedModel& e = it->second;
+    core::CsmModel m;
+    m.kind = e.kind;
+    m.cell_name = e.cell_name;
+    m.vdd = e.vdd;
+    m.dv_margin = e.dv_margin;
+    m.temp_c = e.temp_c;
+    m.pins.assign(e.pins.begin(), e.pins.end());
+    m.fixed_pins.assign(e.fixed_pins.begin(), e.fixed_pins.end());
+    m.fixed_values.assign(e.fixed_values.begin(), e.fixed_values.end());
+    m.internals.assign(e.internals.begin(), e.internals.end());
+    // Tables in payload order (see the layout in the header).
+    auto next = e.tables.begin();
+    const auto take = [&](std::vector<lut::NdTable>& out, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) out.emplace_back(*next++);
+    };
+    const std::size_t p = m.pins.size();
+    const std::size_t k = m.internals.size();
+    m.i_out = lut::NdTable(*next++);
+    take(m.i_internal, k);
+    take(m.c_miller, p);
+    m.c_out = lut::NdTable(*next++);
+    take(m.c_internal, k);
+    take(m.c_miller_internal, p * k);
+    take(m.c_in, p);
+    m.check_consistent();
+    return m;
 }
 
-std::vector<std::string> MappedPack::model_names() const {
+namespace {
+
+template <typename Map>
+std::vector<std::string> sorted_names(const Map& entries) {
     std::vector<std::string> names;
-    names.reserve(models_.size());
-    for (const auto& [name, entry] : models_) names.push_back(name);
+    names.reserve(entries.size());
+    for (const auto& [name, entry] : entries) names.push_back(name);
     std::sort(names.begin(), names.end());
     return names;
+}
+
+}  // namespace
+
+std::vector<std::string> MappedPack::model_names() const {
+    return sorted_names(models_);
 }
 
 std::vector<std::string> MappedPack::surface_names() const {
-    std::vector<std::string> names;
-    names.reserve(surfaces_.size());
-    for (const auto& [name, entry] : surfaces_) names.push_back(name);
-    std::sort(names.begin(), names.end());
-    return names;
+    return sorted_names(surfaces_);
 }
 
 // --- PackHost ------------------------------------------------------------

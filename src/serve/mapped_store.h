@@ -1,9 +1,7 @@
-// mmap-able zero-parse model/surface pack -- format v3 of the binary
-// store family (see model_store.h for v1/v2, which stream one payload per
-// file through a parse-and-copy reader).
+// The serving layer's one at-rest format: an mmap-able zero-parse pack of
+// characterized models and serve-layer arc surfaces.
 //
-// A pack bundles any number of characterized models and serve-layer arc
-// surfaces into ONE file laid out for mmap(2):
+// A pack bundles any number of entries into ONE file laid out for mmap(2):
 //   * page-aligned sections, so section starts never share a page and the
 //     kernel can fault exactly what a query touches;
 //   * every numeric array stored as naturally-aligned little-endian
@@ -12,30 +10,41 @@
 //     lut::TableView spans pointing STRAIGHT INTO THE MAPPING, no decode,
 //     no allocation, no per-process copy of the knot/value data;
 //   * one FNV-1a checksum over the body, verified ONCE at map time (plus
-//     rigorous bounds/monotonicity validation of every directory entry),
+//     rigorous bounds/monotonicity/finiteness validation of every entry),
 //     after which lookups trust the mapping.
 // N server processes mapping the same pack therefore share a single kernel
-// page cache copy of every model -- the "many processes, one page cache"
-// serving tier of ROADMAP item 1.
+// page cache copy of every model.
+//
+// The same file format serves two roles:
+//   * the per-file store: ModelRepository publishes <dir>/<key>.mcsmpack
+//     and TimingService <surface_dir>/<arc stem>.mcsmpack, each a
+//     single-entry pack;
+//   * the served pack: pack_from_dirs() merges a store's single-entry packs
+//     by copying their payloads verbatim, and PackHost maps the result.
 //
 // Layout (all offsets from file start, little-endian; doubles 8-aligned):
-//   header   page 0: magic "MCSMMAP3", version u32(=3), reserved u32,
-//            file_size u64, entry_count u64, dir_offset u64,
+//   header   page 0: magic "MCSMMAP3", version u32 (kPackFormatVersion),
+//            reserved u32, file_size u64, entry_count u64, dir_offset u64,
 //            body_offset u64, payload_check u64 (FNV-1a over
 //            [body_offset, file_size)), header_check u64 (FNV-1a over the
-//            preceding header bytes)
-//   body     per-entry payloads, each page-aligned:
-//            model payload   = the complete v2 model envelope bytes
-//                              (write_model_binary), so the directory
-//                              checksum doubles as model_checksum()
-//            surface payload = arc_id (len-prefixed, 8-padded), dt f64,
-//                              settle f64, model_check u64, then delay and
-//                              slew tables: name (len-prefixed, 8-padded),
-//                              rank u64, per axis {name, knot_count u64,
-//                              knots f64[]}, value_count u64, values f64[]
+//            preceding header bytes); the rest of the page is padding
+//   body     per-entry payloads, each page-aligned. Strings are
+//            length-prefixed (u64) and zero-padded to 8 bytes; a table is
+//            name, rank u64, per axis {name, knot_count u64, knots f64[]},
+//            value_count u64, values f64[].
+//            model payload   = kind u64, vdd f64, dv_margin f64, temp_c f64,
+//                              cell name, pins, fixed pins (count u64 +
+//                              strings each), fixed values (count u64 +
+//                              f64[]), internals (count u64 + strings),
+//                              then the tables i_out, i_internal[k],
+//                              c_miller[p], c_out, c_internal[k],
+//                              c_miller_internal[p*k], c_in[p]
+//            surface payload = arc_id, dt f64, settle f64, model_check u64,
+//                              then the delay and slew tables
 //   dir      entry records {kind u32, name_len u32, name_off u64,
 //            payload_off u64, payload_size u64, content_check u64}
-//            followed by the name blob
+//            followed by the name blob. content_check is FNV-1a over the
+//            payload; for a model it equals model_checksum().
 //
 // Hot reload: PackHost re-stats the pack path and swaps in a fresh mapping
 // (atomic shared_ptr swap under a mutex, generation bump); queries already
@@ -48,6 +57,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -62,8 +72,19 @@ namespace mcsm::serve {
 
 inline constexpr char kPackMagic[8] = {'M', 'C', 'S', 'M',
                                        'M', 'A', 'P', '3'};
-inline constexpr std::uint32_t kPackFormatVersion = 3;
+inline constexpr std::uint32_t kPackFormatVersion = 4;
+inline constexpr std::uint32_t kModelKind = 2;
+inline constexpr std::uint32_t kSurfaceKind = 3;
 inline constexpr const char* kPackExt = ".mcsmpack";
+
+// The pack payload of a model entry (layout above): deterministic, so
+// byte equality is bitwise identity over every field and table value.
+// Throws ModelError when the model is structurally inconsistent.
+std::string encode_model(const core::CsmModel& model);
+
+// FNV-1a 64 over encode_model(model): the content identity derived caches
+// (arc surfaces) reference, equal to a packed model's content_check.
+std::uint64_t model_checksum(const core::CsmModel& model);
 
 // A surface resolved inside a mapping: evaluation parameters plus
 // TableViews whose spans point into the mapped bytes. Valid only while the
@@ -77,14 +98,34 @@ struct MappedSurface {
     lut::TableView slew;
 };
 
-// Accumulates models/surfaces and writes them as one pack file, durably
-// and atomically (same fsync + rename contract as the per-file store).
+// A model entry as validated at map time; every view borrows the mapping.
+struct MappedModel {
+    core::ModelKind kind = core::ModelKind::kMcsm;
+    std::string_view cell_name;
+    double vdd = 0.0;
+    double dv_margin = 0.0;
+    double temp_c = 0.0;
+    std::vector<std::string_view> pins;
+    std::vector<std::string_view> fixed_pins;
+    std::span<const double> fixed_values;
+    std::vector<std::string_view> internals;
+    std::vector<lut::TableView> tables;  // payload order
+    std::uint64_t check = 0;             // content_check (model_checksum)
+};
+
+class MappedPack;
+
+// Accumulates entries and writes them as one pack file, durably and
+// atomically (write-temp + fsync + rename, see serve/model_store.h).
 class PackWriter {
 public:
     // Entry names are lookup keys: ModelKey::to_string() for models,
     // TimingService arc ids for surfaces. Duplicate names throw.
     void add_model(const std::string& name, const core::CsmModel& model);
     void add_surface(const std::string& name, const ArcSurfaceData& surface);
+    // Copies every entry of `pack` (kind, name and payload bytes) verbatim:
+    // no decode, no re-encode.
+    void add_pack(const MappedPack& pack);
 
     std::size_t entry_count() const { return entries_.size(); }
 
@@ -99,22 +140,23 @@ private:
     std::vector<Entry> entries_;
     std::unordered_map<std::string, std::size_t> by_name_;
 
-    void add(std::uint32_t kind, const std::string& name,
-             std::string payload);
+    void add(std::uint32_t kind, std::string name, std::string payload);
 };
 
-// Builds a pack from the per-file binary store: every *.csm.bin under
-// model_dir (keyed by file stem) and every *.surf.bin under surface_dir
-// (keyed by the surface's own arc_id). Either directory may be empty ("").
-// Corrupt files throw -- a pack is built from a verified store or not at
-// all.
+// Merges every *.mcsmpack under model_dir and surface_dir (non-recursive;
+// in-flight "*.tmp.*" files skipped) into one writer, entries copied
+// verbatim. Either directory may be empty (""), and passing the same
+// directory twice scans it once. Corrupt packs and duplicate entry names
+// throw -- a served pack is built from a verified store or not at all.
+// Write the result outside the scanned directories.
 PackWriter pack_from_dirs(const std::string& model_dir,
                           const std::string& surface_dir);
 
 // One immutable read-only mapping of a pack file. Construction mmaps the
-// file, verifies the checksum and validates every entry's bounds (and
-// every surface axis' monotonicity); after that, surface lookups are
-// pointer handouts. Thread-safe for concurrent readers.
+// file, verifies the checksum and validates every entry (bounds, axis
+// monotonicity, finite values, model header ranges and table shapes);
+// after that, lookups trust the mapping. Thread-safe for concurrent
+// readers.
 class MappedPack {
 public:
     // Identity of the mapped file, used by PackHost to detect changes.
@@ -141,32 +183,35 @@ public:
     // shared_ptr alive while using the result.
     const MappedSurface* find_surface(const std::string& name) const;
 
-    // Content identity (FNV-1a of the v2 model envelope bytes, i.e.
-    // model_checksum()) of a packed model; 0 when absent.
+    // Content identity (model_checksum()) of a packed model; 0 when absent.
     std::uint64_t model_check(const std::string& name) const;
 
-    // Parses a packed model into an owned CsmModel (the exact path needs
-    // real tables); throws ModelError when absent or inconsistent.
+    // Copies a packed model's validated spans into an owned CsmModel (the
+    // exact path needs real tables); throws ModelError when absent.
     core::CsmModel materialize_model(const std::string& name) const;
 
     std::vector<std::string> model_names() const;
     std::vector<std::string> surface_names() const;
 
 private:
+    friend class PackWriter;
+
     MappedPack() = default;
 
-    struct ModelEntry {
-        const char* payload = nullptr;
-        std::uint64_t size = 0;
-        std::uint64_t check = 0;
+    // Raw directory entry, in file order, for verbatim merging.
+    struct RawEntry {
+        std::uint32_t kind = 0;
+        std::string_view name;
+        std::string_view payload;
     };
 
     std::string path_;
     FileId id_;
     const unsigned char* base_ = nullptr;
     std::size_t size_ = 0;
+    std::vector<RawEntry> entries_;
     std::unordered_map<std::string, MappedSurface> surfaces_;
-    std::unordered_map<std::string, ModelEntry> models_;
+    std::unordered_map<std::string, MappedModel> models_;
 };
 
 // Shared, hot-reloadable handle on a pack path. current() hands out the

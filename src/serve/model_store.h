@@ -1,61 +1,28 @@
-// Versioned, checksummed binary serialization of characterized models,
-// lookup tables and serve-layer arc surfaces -- the at-rest format of the
-// serving layer. Compared to the text model_io/table_io path it is ~10x
-// smaller and faster to load, and the round trip is bit-exact by
-// construction (doubles travel as their IEEE-754 bit patterns).
-//
-// Envelope (shared by every payload kind):
-//   magic   8 bytes  "MCSMBIN1"
-//   version u32      kFormatVersion (little-endian, like every scalar)
-//   kind    u32      payload kind (kTableKind / kModelKind / kSurfaceKind)
-//   size    u64      payload byte count
-//   check   u64      FNV-1a 64 over the payload bytes
-//   payload size bytes
-// Readers verify magic, version, kind, size and checksum before any payload
-// parsing, and throw ModelError on the slightest mismatch -- a corrupt store
-// can never yield a partial model.
-//
-// Version history:
-//   1  initial format (tables, models)
-//   2  model payload gains the characterization temperature (temp_c);
-//      new kSurfaceKind payload (serve-layer delay/slew arc surfaces).
-// Writers emit version 2; readers accept 1 and 2 (a v1 model loads with the
-// nominal 25 degC temperature).
+// Shared pieces of the serving layer's at-rest store: the surface record
+// the pack writer takes as input, and the durable file plumbing every
+// store writer publishes through. The on-disk format itself -- the mmap
+// pack, one file per store entry or many bundled -- lives in
+// serve/mapped_store. The text model_io/table_io format stays as a
+// human-readable export (characterize_library); the serve path never reads
+// it.
 #ifndef MCSM_SERVE_MODEL_STORE_H
 #define MCSM_SERVE_MODEL_STORE_H
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
-#include "core/model.h"
 #include "lut/ndtable.h"
 
 namespace mcsm::serve {
 
-inline constexpr char kStoreMagic[8] = {'M', 'C', 'S', 'M',
-                                        'B', 'I', 'N', '1'};
-inline constexpr std::uint32_t kFormatVersion = 2;
-inline constexpr std::uint32_t kMinFormatVersion = 1;
-inline constexpr std::uint32_t kTableKind = 1;
-inline constexpr std::uint32_t kModelKind = 2;
-inline constexpr std::uint32_t kSurfaceKind = 3;
-
-// Canonical file extensions of the store formats.
-inline constexpr const char* kBinaryModelExt = ".csm.bin";
+// Extension of the text model export (core/model_io).
 inline constexpr const char* kTextModelExt = ".csm";
-inline constexpr const char* kSurfaceExt = ".surf.bin";
 
-void write_table_binary(std::ostream& os, const lut::NdTable& table);
-lut::NdTable read_table_binary(std::istream& is);
-
-void write_model_binary(std::ostream& os, const core::CsmModel& model);
-core::CsmModel read_model_binary(std::istream& is);
-
-// A persisted serve-layer arc surface: the delay/slew tables the
+// A serve-layer arc surface as built in memory: the delay/slew tables the
 // TimingService builds by running one CSM transient per knot, plus the
 // evaluation parameters they were built under. arc_id and the parameters
-// let a loader reject stale files after an options change instead of
+// let a loader reject stale entries after an options change instead of
 // serving wrong numbers.
 struct ArcSurfaceData {
     std::string arc_id;   // TimingService arc identity (cell|pins|dir|corner)
@@ -69,21 +36,14 @@ struct ArcSurfaceData {
     lut::NdTable slew;
 };
 
-void write_surface_binary(std::ostream& os, const ArcSurfaceData& surface);
-ArcSurfaceData read_surface_binary(std::istream& is);
-
-// FNV-1a 64 over the model's binary payload: a content identity for
-// derived caches (arc surfaces).
-std::uint64_t model_checksum(const core::CsmModel& model);
-
 // --- durable file plumbing ---------------------------------------------
 //
 // Every store writer publishes through write-temp + fsync + rename +
-// fsync(parent dir): after save_* returns, the new file survives a crash
+// fsync(parent dir): once a write returns, the new file survives a crash
 // or power loss, and a reader can never observe a truncated payload under
 // the final name (the incomplete bytes only ever live under a "*.tmp.*"
-// name). These helpers are shared with the pack writer in
-// serve/mapped_store.
+// name). Because publication is a rename, a process that still maps the
+// replaced file keeps reading its old, intact pages.
 
 // Writes `bytes` to `path` durably and atomically: unique same-directory
 // temp file, full write, fsync, rename over `path`, fsync of the parent
@@ -103,15 +63,6 @@ void durable_replace_file(const std::string& tmp, const std::string& path);
 // Returns the number of files removed; missing/unreadable directories
 // count as empty. ModelRepository runs this on construction.
 std::size_t clean_orphan_temps(const std::string& dir, long min_age_s);
-
-// File convenience wrappers; save overwrites atomically AND durably (see
-// above), load throws ModelError when the file is missing, truncated,
-// corrupt, or structurally inconsistent.
-void save_model_binary(const std::string& path, const core::CsmModel& model);
-core::CsmModel load_model_binary(const std::string& path);
-void save_surface_binary(const std::string& path,
-                         const ArcSurfaceData& surface);
-ArcSurfaceData load_surface_binary(const std::string& path);
 
 }  // namespace mcsm::serve
 

@@ -6,7 +6,6 @@
 
 #include "analysis/model_audit.h"
 #include "common/error.h"
-#include "core/model_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/model_store.h"
@@ -75,9 +74,9 @@ ModelRepository::ModelRepository(const cells::CellLibrary* lib,
     }
 }
 
-std::string ModelRepository::binary_path(const ModelKey& key) const {
+std::string ModelRepository::store_path(const ModelKey& key) const {
     if (options_.dir.empty()) return {};
-    return options_.dir + "/" + key.to_string() + kBinaryModelExt;
+    return options_.dir + "/" + key.to_string() + kPackExt;
 }
 
 std::shared_ptr<const core::CsmModel> ModelRepository::get(
@@ -90,8 +89,8 @@ std::shared_ptr<const core::CsmModel> ModelRepository::get(
         key.to_string(),
         [&] {
             ModelPtr model = load_or_characterize(key);
-            // Pre-flight audit on every production (store load, legacy
-            // migration, or fresh characterization): a defective model is
+            // Pre-flight audit on every production (pack or store load, or
+            // fresh characterization): a defective model is
             // rejected here, before anything is served from it, and the
             // failure is never cached (single-flight failure contract).
             if (options_.lint_on_load)
@@ -110,43 +109,33 @@ std::shared_ptr<const core::CsmModel> ModelRepository::get(
 
 ModelRepository::ModelPtr ModelRepository::load_or_characterize(
     const ModelKey& key) {
+    const std::string name = key.to_string();
     if (options_.pack) {
-        // Pack hit: parse the packed v2 envelope into an owned model (the
-        // exact path needs real tables); the in-memory cache then serves
-        // every later get(). Absent keys fall through to the per-file
-        // stores.
+        // Served-pack hit: copy the validated tables into an owned model
+        // (the exact path needs real tables); the in-memory cache then
+        // serves every later get(). Absent keys fall through to the store.
         const std::shared_ptr<const MappedPack> pack =
             options_.pack->current();
-        if (pack->model_check(key.to_string()) != 0) {
+        if (pack->model_check(name) != 0) {
             obs::counter("serve.model.pack_loads").add();
             return std::make_shared<const core::CsmModel>(
-                pack->materialize_model(key.to_string()));
+                pack->materialize_model(name));
         }
     }
-    if (!options_.dir.empty()) {
-        std::error_code ec;
-        const std::string bin = binary_path(key);
-        if (fs::exists(bin, ec)) {
-            obs::counter("serve.model.store_loads").add();
-            return std::make_shared<const core::CsmModel>(
-                load_model_binary(bin));
-        }
-        const std::string txt =
-            options_.dir + "/" + key.to_string() + kTextModelExt;
-        if (fs::exists(txt, ec)) {
-            core::CsmModel m = core::load_model(txt);
-            // Migrate legacy text stores to the binary format on first load.
-            if (options_.write_back) save_model_binary(bin, m);
-            return std::make_shared<const core::CsmModel>(std::move(m));
-        }
+    const std::string path = store_path(key);
+    std::error_code ec;
+    if (!path.empty() && fs::exists(path, ec)) {
+        obs::counter("serve.model.store_loads").add();
+        return std::make_shared<const core::CsmModel>(
+            MappedPack::map(path)->materialize_model(name));
     }
 
-    require(lib_ != nullptr, "ModelRepository: model " + key.to_string() +
+    require(lib_ != nullptr, "ModelRepository: model " + name +
                                  " not in store and no cell library "
                                  "attached for characterization");
     ++characterize_count_;
     obs::counter("serve.model.characterize").add();
-    const obs::Span span("serve.characterize", key.to_string());
+    const obs::Span span("serve.characterize", name);
     const obs::ScopedLatency latency(
         obs::histogram("serve.characterize_ns"));
     const cells::CellLibrary& lib = library_for(key.corner);
@@ -154,12 +143,26 @@ ModelRepository::ModelPtr ModelRepository::load_or_characterize(
     const core::CharOptions& copt = key.pins.size() >= 3
                                         ? options_.char_options_mis3
                                         : options_.char_options;
-    core::CsmModel m = chr.characterize(key.cell, key.kind, key.pins, copt);
-    if (!options_.dir.empty() && options_.write_back) {
+    auto model = std::make_shared<const core::CsmModel>(
+        chr.characterize(key.cell, key.kind, key.pins, copt));
+    persist(key, *model);
+    return model;
+}
+
+void ModelRepository::persist(const ModelKey& key,
+                              const core::CsmModel& model) {
+    if (options_.dir.empty()) return;
+    // The store is a cache of characterizations: losing a write costs a
+    // later process one re-characterization, so it must not cost this one
+    // the model it just built.
+    try {
         fs::create_directories(options_.dir);
-        save_model_binary(binary_path(key), m);
+        PackWriter writer;
+        writer.add_model(key.to_string(), model);
+        writer.write(store_path(key));
+    } catch (const std::exception&) {
+        obs::counter("serve.store.write_failures").add();
     }
-    return std::make_shared<const core::CsmModel>(std::move(m));
 }
 
 const cells::CellLibrary& ModelRepository::library_for(const Corner& corner) {
@@ -187,10 +190,7 @@ void ModelRepository::put(const ModelKey& key, core::CsmModel model) {
             "ModelRepository::put[" + key.to_string() + "]");
     auto ptr = std::make_shared<const core::CsmModel>(std::move(model));
     cache_.put(key.to_string(), ptr);
-    if (!options_.dir.empty() && options_.write_back) {
-        fs::create_directories(options_.dir);
-        save_model_binary(binary_path(key), *ptr);
-    }
+    persist(key, *ptr);
 }
 
 bool ModelRepository::cached(const ModelKey& key) const {

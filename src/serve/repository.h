@@ -1,14 +1,16 @@
 // Directory-backed model repository: the serving layer's cache of
 // characterized CSM models.
 //
-// Lookup order for a key: in-memory cache -> binary store file
-// (<dir>/<key>.csm.bin) -> legacy text store file (<dir>/<key>.csm) ->
+// Lookup order for a key: in-memory cache -> served pack (RepositoryOptions
+// ::pack) -> the store's single-entry pack <dir>/<key>.mcsmpack ->
 // on-demand characterization (when a cell library is attached), whose
-// result is written back to the binary store. Loads are lazy and
-// single-flight: concurrent misses on the same key block on one
-// load/characterization instead of duplicating it, and a failed load is
-// never cached (the next get retries, e.g. after the corrupt file was
-// replaced).
+// result is written back to the store. Loads are lazy and single-flight:
+// concurrent misses on the same key block on one load/characterization
+// instead of duplicating it, and a failed load is never cached (the next
+// get retries, e.g. after the corrupt file was replaced). Write-back is
+// best effort: a store that cannot be written costs the next process a
+// re-characterization, never this process its model (failures count in
+// the serve.store.write_failures obs counter).
 //
 // Keys carry an optional Vdd/temperature corner. Corner models are
 // first-class store citizens: they characterize on miss against a derated
@@ -67,22 +69,21 @@ struct ModelKey {
 };
 
 struct RepositoryOptions {
-    // Store directory; empty runs the repository purely in memory.
+    // Store directory of single-entry packs, written back on every
+    // characterization and put(); empty runs the repository purely in
+    // memory.
     std::string dir;
     // Optional mmap'd model pack (serve/mapped_store). When set, lookups
-    // consult the pack's current mapping before touching per-file stores or
-    // characterizing: memory -> pack -> .csm.bin -> .csm -> characterize.
-    // Pack hits parse the packed v2 envelope once per process (the
-    // in-memory cache holds the result); the mapping itself is shared
-    // page-cache across every process hosting the same pack.
+    // consult the pack's current mapping before the store directory or
+    // characterizing. A pack hit copies the model's validated tables once
+    // per process (the in-memory cache holds the result); the mapping
+    // itself is shared page cache across every process hosting the pack.
     std::shared_ptr<PackHost> pack;
-    // Persist freshly characterized models into `dir`.
-    bool write_back = true;
-    // Run analysis::audit_model on every model production (store load,
-    // legacy-text migration, characterize-on-miss, put()) and throw
-    // ModelError carrying the lint report when it finds errors -- the
-    // pre-flight admission gate of the serve layer. Failed audits are
-    // never cached, so a repaired store file is retried on the next get().
+    // Run analysis::audit_model on every model production (pack or store
+    // load, characterize-on-miss, put()) and throw ModelError carrying the
+    // lint report when it finds errors -- the pre-flight admission gate of
+    // the serve layer. Failed audits are never cached, so a repaired store
+    // file is retried on the next get().
     bool lint_on_load = true;
     // Options for the characterize-on-miss fallback (1- and 2-pin arcs).
     core::CharOptions char_options;
@@ -117,7 +118,8 @@ public:
     std::shared_ptr<const core::CsmModel> get(const ModelKey& key);
 
     // Inserts (or replaces) a model under `key`, writing it back to the
-    // store directory when configured.
+    // store directory when configured (best effort, like characterize-on-
+    // miss).
     void put(const ModelKey& key, core::CsmModel model);
 
     // True when `key` is resident in memory (not merely on disk).
@@ -129,13 +131,16 @@ public:
     std::size_t characterize_count() const { return characterize_count_; }
 
     const RepositoryOptions& options() const { return options_; }
-    // Store path of a key's binary model file ("" without a store dir).
-    std::string binary_path(const ModelKey& key) const;
+    // Store path of a key's single-entry pack ("" without a store dir).
+    std::string store_path(const ModelKey& key) const;
 
 private:
     using ModelPtr = std::shared_ptr<const core::CsmModel>;
 
     ModelPtr load_or_characterize(const ModelKey& key);
+    // Publishes `model` as <dir>/<key>.mcsmpack when a store dir is set.
+    // Never throws: a failed write is counted, and the model stays served.
+    void persist(const ModelKey& key, const core::CsmModel& model);
     // Library evaluated at `corner` (the attached nominal library for the
     // nominal corner; built once per distinct corner otherwise). Requires
     // an attached library; throws ModelError without one.

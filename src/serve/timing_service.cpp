@@ -196,7 +196,7 @@ std::string TimingService::surface_path(const std::string& arc_id) const {
     if (options_.surface_dir.empty()) return {};
     std::string stem = arc_id;
     std::replace(stem.begin(), stem.end(), '|', '.');
-    return options_.surface_dir + "/" + stem + kSurfaceExt;
+    return options_.surface_dir + "/" + stem + kPackExt;
 }
 
 std::vector<lut::Axis> TimingService::surface_axes(
@@ -291,91 +291,76 @@ TimingResult TimingService::eval_transient(const core::CsmModel& model,
     return result;
 }
 
+TimingService::SurfacePtr TimingService::adopt_surface(
+    std::shared_ptr<const MappedPack> pack, const std::string& id,
+    std::uint64_t model_check, const std::vector<lut::Axis>& axes) {
+    // Accepted only when identity, evaluation parameters, axes AND the
+    // source-model checksum match the current state exactly; anything
+    // else (stale knots, different dt, a re-characterized model) is
+    // rebuilt, never served.
+    const MappedSurface* mapped = pack->find_surface(id);
+    const auto axes_match = [&](const lut::TableView& t) {
+        if (t.rank() != axes.size()) return false;
+        for (std::size_t d = 0; d < axes.size(); ++d) {
+            const lut::TableView::AxisView& ax = t.axis(d);
+            const std::vector<double>& knots = axes[d].knots();
+            if (ax.name != axes[d].name() ||
+                !std::equal(ax.knots.begin(), ax.knots.end(), knots.begin(),
+                            knots.end()))
+                return false;
+        }
+        return true;
+    };
+    if (mapped == nullptr || mapped->arc_id != id ||
+        mapped->dt != options_.dt || mapped->settle != options_.settle ||
+        model_check == 0 || mapped->model_check != model_check ||
+        !axes_match(mapped->delay) || !axes_match(mapped->slew))
+        return nullptr;
+    auto surface = std::make_shared<ArcSurface>();
+    surface->delay = mapped->delay;
+    surface->slew = mapped->slew;
+    surface->pack = std::move(pack);
+    ++surface_loads_;
+    return surface;
+}
+
 TimingService::SurfacePtr TimingService::build_surface(
     const TimingQuery& q) {
     const std::string id = arc_id(q);
     const obs::Span span("serve.build_surface", id);
     const std::vector<lut::Axis> axes = surface_axes(q.pins.size());
-    const std::string path = surface_path(id);
+    const ModelKey key = ModelKey::arc(q.cell, q.pins, q.corner);
 
-    // Packed-surface fast path: serve TableViews pointing straight into
-    // the mapping -- no parse, no copy, no model fetch (which could
-    // trigger characterization). Accepted only when the evaluation
-    // parameters match AND the surface's source-model checksum equals the
-    // pack's own model entry: a pack is a consistent snapshot or it is
+    // Both persisted sources are mappings: serve TableViews pointing
+    // straight into them -- no parse, no copy. The served pack is checked
+    // against its own model entry, so it needs no model fetch (which could
+    // trigger characterization): a pack is a consistent snapshot or it is
     // ignored entry-by-entry.
     if (options_.pack) {
         std::shared_ptr<const MappedPack> pack = options_.pack->current();
-        const MappedSurface* mapped = pack->find_surface(id);
-        const auto axes_match_view = [&](const lut::TableView& t) {
-            if (t.rank() != axes.size()) return false;
-            for (std::size_t d = 0; d < axes.size(); ++d) {
-                const lut::TableView::AxisView& ax = t.axis(d);
-                const std::vector<double>& knots = axes[d].knots();
-                if (ax.name != axes[d].name() ||
-                    ax.knots.size() != knots.size() ||
-                    !std::equal(ax.knots.begin(), ax.knots.end(),
-                                knots.begin()))
-                    return false;
-            }
-            return true;
-        };
-        if (mapped != nullptr && mapped->dt == options_.dt &&
-            mapped->settle == options_.settle &&
-            mapped->model_check != 0 &&
-            mapped->model_check ==
-                pack->model_check(
-                    ModelKey::arc(q.cell, q.pins, q.corner).to_string()) &&
-            axes_match_view(mapped->delay) && axes_match_view(mapped->slew)) {
-            auto surface = std::make_shared<ArcSurface>();
-            surface->delay = mapped->delay;
-            surface->slew = mapped->slew;
-            surface->pack = std::move(pack);
-            ++surface_loads_;
+        const std::uint64_t check = pack->model_check(key.to_string());
+        if (SurfacePtr s = adopt_surface(std::move(pack), id, check, axes)) {
             obs::counter("serve.surface.pack_loads").add();
-            return surface;
+            return s;
         }
     }
 
-    const std::shared_ptr<const core::CsmModel> model =
-        repo_->get(ModelKey::arc(q.cell, q.pins, q.corner));
+    const std::shared_ptr<const core::CsmModel> model = repo_->get(key);
     const std::uint64_t model_check = model_checksum(*model);
 
-    // Persisted-surface fast path: accept only files whose identity,
-    // evaluation parameters AND source-model checksum match the current
-    // state exactly; anything else (stale knots, different dt, a
-    // re-characterized model, corruption) falls through to a rebuild that
-    // overwrites the file.
-    if (!path.empty()) {
-        std::error_code ec;
-        if (fs::exists(path, ec)) {
-            try {
-                ArcSurfaceData data = load_surface_binary(path);
-                const auto axes_match = [&](const lut::NdTable& t) {
-                    if (t.rank() != axes.size()) return false;
-                    for (std::size_t d = 0; d < axes.size(); ++d) {
-                        if (t.axis(d).name() != axes[d].name() ||
-                            t.axis(d).knots() != axes[d].knots())
-                            return false;
-                    }
-                    return true;
-                };
-                if (data.arc_id == id && data.dt == options_.dt &&
-                    data.settle == options_.settle &&
-                    data.model_check == model_check &&
-                    axes_match(data.delay) && axes_match(data.slew)) {
-                    auto surface = std::make_shared<ArcSurface>();
-                    surface->delay_owned = std::move(data.delay);
-                    surface->slew_owned = std::move(data.slew);
-                    surface->delay = lut::TableView::of(surface->delay_owned);
-                    surface->slew = lut::TableView::of(surface->slew_owned);
-                    ++surface_loads_;
-                    obs::counter("serve.surface.disk_loads").add();
-                    return surface;
-                }
-            } catch (const ModelError&) {
-                // Corrupt file: rebuild below and overwrite it.
+    // The store's single-entry pack is checked against the repository's
+    // model; a corrupt or stale file is rebuilt and replaced below.
+    const std::string path = surface_path(id);
+    std::error_code ec;
+    if (!path.empty() && fs::exists(path, ec)) {
+        try {
+            if (SurfacePtr s = adopt_surface(MappedPack::map(path), id,
+                                             model_check, axes)) {
+                obs::counter("serve.surface.disk_loads").add();
+                return s;
             }
+        } catch (const ModelError&) {
+            // Corrupt file: rebuilt and replaced below.
         }
     }
 
@@ -456,7 +441,9 @@ TimingService::SurfacePtr TimingService::build_surface(
         // Persistence is an optimization: a full-disk or unwritable
         // surface_dir must not discard the perfectly good surface just
         // built (and trigger a full-grid rebuild on every batch) -- serve
-        // from memory and let the next service instance retry the write.
+        // from memory, count the failure, and let the next service
+        // instance retry the write. Publication is a rename, so a service
+        // still mapping the replaced file keeps valid pages.
         try {
             fs::create_directories(options_.surface_dir);
             ArcSurfaceData data;
@@ -466,8 +453,11 @@ TimingService::SurfacePtr TimingService::build_surface(
             data.model_check = model_check;
             data.delay = surface->delay_owned;
             data.slew = surface->slew_owned;
-            save_surface_binary(path, data);
+            PackWriter writer;
+            writer.add_surface(id, data);
+            writer.write(path);
         } catch (const std::exception&) {
+            obs::counter("serve.store.write_failures").add();
         }
     }
 

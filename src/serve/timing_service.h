@@ -24,16 +24,17 @@
 //    surface knot (fanned over the shared thread pool) and cached for the
 //    service lifetime. Surface builds are single-flight: concurrent misses
 //    on one arc build it once. With ServeOptions::surface_dir set, built
-//    surfaces persist to <dir>/<arc>.surf.bin and later services reload
-//    them (bit-identical) instead of re-running the knot transients --
-//    worth it for 3-pin arcs, whose default grid costs ~2k transients.
+//    surfaces persist as single-entry packs <dir>/<arc>.mcsmpack and later
+//    services map them (bit-identical, zero-parse) instead of re-running
+//    the knot transients -- worth it for 3-pin arcs, whose default grid
+//    costs ~2k transients.
 //  * Transient exact path (query.exact / query.want_waveform) - one CSM
 //    transient per query, returning the measured delay/slew and the output
 //    waveform.
-// Models come from a ModelRepository (memory -> binary store -> on-demand
-// characterization). Batch results are deterministic for any thread count:
-// every query is an independent, single-threaded evaluation of immutable
-// tables.
+// Models come from a ModelRepository (memory -> served pack -> store ->
+// on-demand characterization). Batch results are deterministic for any
+// thread count: every query is an independent, single-threaded evaluation
+// of immutable tables.
 #ifndef MCSM_SERVE_TIMING_SERVICE_H
 #define MCSM_SERVE_TIMING_SERVICE_H
 
@@ -120,9 +121,10 @@ struct ServeOptions {
     double dt = 2e-12;
     double settle = 2e-9;   // post-edge simulation window [s]
     std::size_t threads = 0;  // batch fan-out (0: all cores)
-    // Directory for persisted arc surfaces (empty: in-memory only). Stale
-    // files (different knots/dt/settle) are rebuilt and overwritten, never
-    // served.
+    // Directory of persisted arc surfaces, one single-entry pack per arc
+    // (empty: in-memory only). Loaded surfaces are served zero-parse off
+    // their own mapping; stale files (different knots/dt/settle/model) are
+    // rebuilt and replaced, never served.
     std::string surface_dir;
     // Optional mmap'd pack (serve/mapped_store) consulted BEFORE
     // surface_dir: a matching packed surface is served zero-parse straight
@@ -154,7 +156,8 @@ public:
 
     // Delay/slew surfaces built or loaded so far.
     std::size_t surface_count() const;
-    // Surfaces reloaded from surface_dir instead of being rebuilt.
+    // Surfaces served from the pack or surface_dir instead of being
+    // rebuilt.
     std::size_t surface_load_count() const { return surface_loads_; }
 
     const ServeOptions& options() const { return options_; }
@@ -203,19 +206,20 @@ private:
     //    reproduces exactly. The mapping is bijective: given (m, d),
     //    u_b = m, u_c = m - d for d >= 0, else u_c = m, u_b = m + d.
     struct ArcSurface {
-        // Owned tables, populated when the surface was built or loaded
-        // from the per-file store; left empty for pack-served surfaces.
+        // Owned tables, populated when the surface was built in this
+        // process; left empty for surfaces served off a mapping.
         lut::NdTable delay_owned;
         lut::NdTable slew_owned;
         // The evaluation handles: views over the owned tables or straight
-        // into the pack mapping. Every eval goes through lut::TableView's
-        // single interpolation kernel, so owned and mapped serving are
+        // into a mapping. Every eval goes through lut::TableView's single
+        // interpolation kernel, so owned and mapped serving are
         // bitwise-identical by construction.
         lut::TableView delay;
         lut::TableView slew;
-        // Pins the mapping the views borrow from (null for owned
-        // surfaces); a hot reload cannot munmap a mapping this surface
-        // still references.
+        // Pins the mapping the views borrow from (the served pack or a
+        // surface_dir file; null for owned surfaces): a hot reload or a
+        // rebuilt file cannot munmap a mapping this surface still
+        // references.
         std::shared_ptr<const MappedPack> pack;
     };
     using SurfacePtr = std::shared_ptr<const ArcSurface>;
@@ -229,6 +233,13 @@ private:
     // Single-flight lookup/build of the arc surface for `query`.
     SurfacePtr surface_for(const TimingQuery& query);
     SurfacePtr build_surface(const TimingQuery& query);
+    // The one acceptance check for persisted surfaces (served pack or
+    // surface_dir): serves `pack`'s entry `id` when its arc id, dt,
+    // settle, axes and source-model checksum all match; nullptr otherwise.
+    SurfacePtr adopt_surface(std::shared_ptr<const MappedPack> pack,
+                             const std::string& id,
+                             std::uint64_t model_check,
+                             const std::vector<lut::Axis>& axes);
 
     // Effective lumped capacitance of the query's load as seen from the
     // cell output around the 50% crossing: load_cap for lumped loads, the

@@ -29,7 +29,7 @@
 #include "common/error.h"
 #include "core/model_io.h"
 #include "lut/table_io.h"
-#include "serve/model_store.h"
+#include "serve/mapped_store.h"
 #include "serve/repository.h"
 #include "spice/circuit.h"
 #include "spice/source_spec.h"
@@ -454,10 +454,17 @@ private:
     fs::path dir_;
 };
 
+// Publishes a single-entry model pack, as the repository's write-back does.
+void write_model_pack(const std::string& path, const core::CsmModel& m) {
+    serve::PackWriter writer;
+    writer.add_model("X.SIS.A", m);
+    writer.write(path);
+}
+
 TEST(StoreAudit, TruncatedFileIsReportedNotThrown) {
     TempDir tmp;
-    const std::string path = tmp.path("X.SIS.A.csm.bin");
-    serve::save_model_binary(path, make_sis_model());
+    const std::string path = tmp.path("X.SIS.A.mcsmpack");
+    write_model_pack(path, make_sis_model());
     // Chop the file mid-payload.
     std::string bytes;
     {
@@ -478,15 +485,31 @@ TEST(StoreAudit, TruncatedFileIsReportedNotThrown) {
 
 TEST(StoreAudit, DirectoryScanMixesCleanAndBroken) {
     TempDir tmp;
-    serve::save_model_binary(tmp.path("GOOD.SIS.A.csm.bin"), make_sis_model());
+    write_model_pack(tmp.path("GOOD.SIS.A.mcsmpack"), make_sis_model());
     {
-        std::ofstream os(tmp.path("BAD.SIS.A.csm.bin"), std::ios::binary);
+        std::ofstream os(tmp.path("BAD.SIS.A.mcsmpack"), std::ios::binary);
         os << "not a store file";
     }
     const LintReport report = audit_path(tmp.root());
     EXPECT_TRUE(report.fired("store.scanned")) << report.format();
     EXPECT_EQ(report.error_count(), 1u) << report.format();
     EXPECT_TRUE(report.fired("store.unreadable"));
+}
+
+TEST(StoreAudit, EveryPackEntryIsAudited) {
+    // A pack that maps cleanly can still hold a defective entry: the
+    // auditor checks each model and surface, not just the container.
+    TempDir tmp;
+    const std::string path = tmp.path("served.mcsmpack");
+    serve::ArcSurfaceData surface = make_surface();
+    surface.slew.set_grid_value(std::vector<std::size_t>{1, 1}, 0.0);
+    serve::PackWriter writer;
+    writer.add_model("X.SIS.A", make_sis_model());
+    writer.add_surface(surface.arc_id, surface);
+    writer.write(path);
+    const LintReport report = audit_path(path);
+    EXPECT_TRUE(report.fired("surface.nonpositive-slew")) << report.format();
+    EXPECT_EQ(report.error_count(), 1u) << report.format();
 }
 
 TEST(StoreAudit, MissingPathIsAnError) {
@@ -527,23 +550,26 @@ TEST(LoadHardening, TextModelRejectsBadHeader) {
     EXPECT_NE(what.find("vdd"), std::string::npos) << what;
 }
 
+// A pack whose model entry the writer accepts (encode_model checks shape
+// only) but map-time validation must refuse.
+std::string map_error_of(const core::CsmModel& m) {
+    TempDir tmp;
+    const std::string path = tmp.path("m.mcsmpack");
+    write_model_pack(path, m);
+    return what_of([&] { serve::MappedPack::map(path); });
+}
+
 TEST(LoadHardening, BinaryModelRejectsNanPayload) {
     core::CsmModel m = make_sis_model();
     m.i_out.set_grid_value(std::vector<std::size_t>{1, 1}, std::nan(""));
-    std::ostringstream os;
-    serve::write_model_binary(os, m);
-    std::istringstream is(os.str());
-    const std::string what = what_of([&] { serve::read_model_binary(is); });
+    const std::string what = map_error_of(m);
     EXPECT_NE(what.find("not finite"), std::string::npos) << what;
 }
 
 TEST(LoadHardening, BinaryModelRejectsBadVdd) {
     core::CsmModel m = make_sis_model();
     m.vdd = kInf;
-    std::ostringstream os;
-    serve::write_model_binary(os, m);
-    std::istringstream is(os.str());
-    const std::string what = what_of([&] { serve::read_model_binary(is); });
+    const std::string what = map_error_of(m);
     EXPECT_NE(what.find("vdd"), std::string::npos) << what;
 }
 

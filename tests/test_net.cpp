@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cells/library.h"
@@ -52,10 +53,12 @@ core::CharOptions fast_options() {
     return opt;
 }
 
-std::string binary_bytes(const core::CsmModel& model) {
-    std::stringstream ss;
-    serve::write_model_binary(ss, model);
-    return ss.str();
+// Publishes a single-entry model pack, as the repository's write-back does.
+void write_model_pack(const fs::path& path, const std::string& name,
+                      const core::CsmModel& model) {
+    serve::PackWriter writer;
+    writer.add_model(name, model);
+    writer.write(path.string());
 }
 
 // Shared characterized models (expensive; characterize once per suite).
@@ -305,17 +308,17 @@ TEST(Durability, AtomicSaveLeavesContentAndNoTemp) {
 
 TEST(Durability, CleanOrphanTempsHonorsAgeAndSparesRealFiles) {
     TempDir dir("orphans");
-    std::ofstream(dir.path / "real.csm.bin") << "keep";
-    std::ofstream(dir.path / "dead.csm.bin.tmp.1234") << "partial";
+    std::ofstream(dir.path / "real.mcsmpack") << "keep";
+    std::ofstream(dir.path / "dead.mcsmpack.tmp.1234") << "partial";
     std::ofstream(dir.path / "dead2.mcsmpack.tmp.77") << "partial";
     // A writer-in-flight temp must survive a min_age_s guard.
     EXPECT_EQ(serve::clean_orphan_temps(dir.str(), 3600), 0u);
-    EXPECT_TRUE(fs::exists(dir.path / "dead.csm.bin.tmp.1234"));
+    EXPECT_TRUE(fs::exists(dir.path / "dead.mcsmpack.tmp.1234"));
     // Aged-out orphans go; real files stay.
     EXPECT_EQ(serve::clean_orphan_temps(dir.str(), 0), 2u);
-    EXPECT_FALSE(fs::exists(dir.path / "dead.csm.bin.tmp.1234"));
+    EXPECT_FALSE(fs::exists(dir.path / "dead.mcsmpack.tmp.1234"));
     EXPECT_FALSE(fs::exists(dir.path / "dead2.mcsmpack.tmp.77"));
-    EXPECT_TRUE(fs::exists(dir.path / "real.csm.bin"));
+    EXPECT_TRUE(fs::exists(dir.path / "real.mcsmpack"));
     // Missing directory counts as empty, not an error.
     EXPECT_EQ(serve::clean_orphan_temps((dir.path / "nope").string(), 0), 0u);
 }
@@ -325,12 +328,18 @@ TEST(Durability, CrashArtifactsAreNeverServed) {
     TempDir dir("crash");
     const std::string key =
         serve::ModelKey::arc("INV_X1", {"A"}).to_string();
-    serve::save_model_binary((dir.path / (key + ".csm.bin")).string(),
-                             s.inv);
-    // A crashed writer's partial payload under a temp name: truncated
-    // bytes of the real model.
-    const std::string bytes = binary_bytes(s.inv);
-    std::ofstream(dir.path / (key + ".csm.bin.tmp.999"), std::ios::binary)
+    const fs::path real = dir.path / (key + serve::kPackExt);
+    write_model_pack(real, key, s.inv);
+    // A crashed writer's partial file under a temp name: truncated bytes
+    // of the real pack.
+    std::string bytes;
+    {
+        std::ifstream in(real, std::ios::binary);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        bytes = ss.str();
+    }
+    std::ofstream(dir.path / (key + ".mcsmpack.tmp.999"), std::ios::binary)
         << bytes.substr(0, bytes.size() / 2);
 
     // The pack builder skips in-flight/orphaned temps entirely.
@@ -341,8 +350,9 @@ TEST(Durability, CrashArtifactsAreNeverServed) {
     serve::RepositoryOptions ropt;
     ropt.dir = dir.str();
     serve::ModelRepository repo(&s.lib, ropt);
-    EXPECT_EQ(binary_bytes(*repo.get(serve::ModelKey::arc("INV_X1", {"A"}))),
-              bytes);
+    const auto model = repo.get(serve::ModelKey::arc("INV_X1", {"A"}));
+    EXPECT_EQ(serve::encode_model(*model), serve::encode_model(s.inv));
+    EXPECT_EQ(repo.characterize_count(), 0u);
 }
 
 TEST(Durability, DurableReplaceFallsBackAcrossFilesystems) {
@@ -414,8 +424,8 @@ TEST(Pack, RoundTripIsBitExactAndEvaluatesZeroParse) {
     EXPECT_EQ(pack->surface_count(), 1u);
     EXPECT_EQ(pack->model_check("INV_X1.SIS.A"), check);
     EXPECT_EQ(pack->model_check("absent"), 0u);
-    EXPECT_EQ(binary_bytes(pack->materialize_model("INV_X1.SIS.A")),
-              binary_bytes(s.inv));
+    EXPECT_EQ(serve::encode_model(pack->materialize_model("INV_X1.SIS.A")),
+              serve::encode_model(s.inv));
 
     const serve::MappedSurface* surf = pack->find_surface("arc0");
     ASSERT_NE(surf, nullptr);
@@ -478,6 +488,32 @@ TEST(Pack, RejectsCorruptionTruncationAndBadMagic) {
                  ModelError);
     write_bytes(good);
     EXPECT_TRUE(serve::MappedPack::map(path) != nullptr);
+}
+
+TEST(Pack, SameDirectoryForModelsAndSurfacesPacksEachEntryOnce) {
+    const Shared& s = Shared::get();
+    TempDir dir("packsame");
+    const std::string key = serve::ModelKey::arc("INV_X1", {"A"}).to_string();
+    write_model_pack(dir.path / (key + serve::kPackExt), key, s.inv);
+    {
+        const std::string arc = "INV_X1|A|F";
+        serve::PackWriter w;
+        w.add_surface(arc, quirk_surface(arc, serve::model_checksum(s.inv)));
+        w.write((dir.path / "INV_X1.A.F.mcsmpack").string());
+    }
+    const serve::PackWriter merged =
+        serve::pack_from_dirs(dir.str(), dir.str());
+    EXPECT_EQ(merged.entry_count(), 2u);
+    TempDir out("packsame_out");
+    const std::string path = (out.path / "p.mcsmpack").string();
+    merged.write(path);
+    const auto pack = serve::MappedPack::map(path);
+    EXPECT_EQ(pack->model_count(), 1u);
+    EXPECT_EQ(pack->surface_count(), 1u);
+    // Entries travel verbatim: the merged model is still the same bytes.
+    EXPECT_EQ(pack->model_check(key), serve::model_checksum(s.inv));
+    EXPECT_EQ(serve::encode_model(pack->materialize_model(key)),
+              serve::encode_model(s.inv));
 }
 
 TEST(Pack, HotReloadSwapsGenerationsAndRetiresOldMappings) {
@@ -546,31 +582,47 @@ TEST(ServePack, ZeroParseSurfacesMatchBuiltOnesBitwise) {
     const Shared& s = Shared::get();
     TempDir models("sp_models");
     TempDir surfaces("sp_surfs");
-    const std::string pack_path = (models.path / "p.mcsmpack").string();
+    TempDir served("sp_served");
+    // Outside the store directories: pack_from_dirs would merge it too.
+    const std::string pack_path = (served.path / "p.mcsmpack").string();
 
-    const serve::ModelKey inv_key = serve::ModelKey::arc("INV_X1", {"A"});
-    const serve::ModelKey nor_key =
-        serve::ModelKey::arc("NOR2", {"A", "B"});
-    serve::save_model_binary(
-        (models.path / (inv_key.to_string() + ".csm.bin")).string(), s.inv);
-    serve::save_model_binary(
-        (models.path / (nor_key.to_string() + ".csm.bin")).string(), s.nor);
+    for (const auto& [key, model] :
+         {std::pair{serve::ModelKey::arc("INV_X1", {"A"}), &s.inv},
+          std::pair{serve::ModelKey::arc("NOR2", {"A", "B"}), &s.nor}})
+        write_model_pack(models.path / (key.to_string() + serve::kPackExt),
+                         key.to_string(), *model);
 
     std::vector<TimingQuery> batch;
     for (std::size_t i = 0; i < 64; ++i) batch.push_back(mixed_query(i));
 
     // Service A builds its surfaces from transients and persists them.
     std::vector<TimingResult> built;
+    serve::ServeOptions sopt_a = small_serve_options();
+    sopt_a.surface_dir = surfaces.str();
+    serve::RepositoryOptions ropt_a;
+    ropt_a.dir = models.str();
     {
-        serve::RepositoryOptions ropt;
-        ropt.dir = models.str();
-        serve::ModelRepository repo(&s.lib, ropt);
-        serve::ServeOptions sopt = small_serve_options();
-        sopt.surface_dir = surfaces.str();
-        serve::TimingService service(repo, sopt);
+        serve::ModelRepository repo(&s.lib, ropt_a);
+        serve::TimingService service(repo, sopt_a);
         built = service.run_batch(batch);
+        EXPECT_EQ(repo.characterize_count(), 0u);  // models came from disk
     }
     for (const TimingResult& r : built) ASSERT_TRUE(r.valid) << r.error;
+
+    // The surface store maps back through the same acceptance check as
+    // the served pack: a fresh service reloads every arc, zero-parse,
+    // bitwise equal.
+    {
+        serve::ModelRepository repo(nullptr, ropt_a);
+        serve::TimingService service(repo, sopt_a);
+        const std::vector<TimingResult> reloaded = service.run_batch(batch);
+        EXPECT_EQ(service.surface_load_count(), service.surface_count());
+        for (std::size_t i = 0; i < reloaded.size(); ++i) {
+            ASSERT_TRUE(reloaded[i].valid) << reloaded[i].error;
+            EXPECT_EQ(bits(reloaded[i].delay), bits(built[i].delay));
+            EXPECT_EQ(bits(reloaded[i].slew), bits(built[i].slew));
+        }
+    }
 
     serve::pack_from_dirs(models.str(), surfaces.str()).write(pack_path);
     const auto host = std::make_shared<serve::PackHost>(pack_path);

@@ -123,6 +123,23 @@ TEST(ObsHistogram, StatsAndPercentiles) {
     EXPECT_LE(s.p99, 130.0);
     EXPECT_LE(s.p50, s.p95);
     EXPECT_LE(s.p95, s.p99);
+    // Interpolated within the bucket, not its lower edge (which read
+    // p99 = 90.5 here).
+    EXPECT_NEAR(s.p50, 50.0, 0.05 * 50.0);
+    EXPECT_NEAR(s.p99, 99.0, 0.05 * 99.0);
+}
+
+TEST(ObsHistogram, IdenticalSamplesReportTheSampleValue) {
+    SKIP_IF_OBS_OFF();
+    obs::Histogram& h = obs::histogram("test.obs.identical_ns");
+    h.reset();
+    // 1000 sits inside bucket [861.1, 1024): a bucket's lower edge would
+    // report 861.1, below the recorded min.
+    for (int i = 0; i < 100; ++i) h.observe(1000.0);
+    const obs::HistogramStats s = h.stats();
+    EXPECT_EQ(s.p50, 1000.0);
+    EXPECT_EQ(s.p95, 1000.0);
+    EXPECT_EQ(s.p99, 1000.0);
 }
 
 TEST(ObsSnapshot, SafeWhileWritersAreLive) {

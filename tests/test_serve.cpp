@@ -1,15 +1,16 @@
-// Serving-layer tests: bit-exact binary/text store round trips (for every
-// library cell), corrupt-input rejection (bad magic, bad checksums,
-// truncations, malformed text -- always ModelError, never a partial model),
-// repository caching semantics (lazy load, single-flight characterization,
-// clean cache after failures), and deterministic batched timing queries
-// across thread counts.
+// Serving-layer tests: bit-exact pack-store and text-export round trips
+// (for every library cell), corrupt-input rejection (bad magic, bad
+// checksums, truncations, malformed text -- always ModelError, never a
+// partial model), repository caching semantics (lazy load, single-flight
+// characterization, clean cache after failures, best-effort write-back),
+// and deterministic batched timing queries across thread counts.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -18,6 +19,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cells/library.h"
@@ -26,7 +28,8 @@
 #include "core/characterizer.h"
 #include "core/model_io.h"
 #include "lut/table_io.h"
-#include "serve/model_store.h"
+#include "obs/metrics.h"
+#include "serve/mapped_store.h"
 #include "serve/repository.h"
 #include "serve/timing_service.h"
 #include "tech/tech130.h"
@@ -45,18 +48,24 @@ core::CharOptions fast_options(std::size_t grid_points = 6) {
     return opt;
 }
 
-// Deterministic serialization makes byte equality a bit-exactness check
-// over every field and table value.
-std::string binary_bytes(const core::CsmModel& model) {
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
     std::stringstream ss;
-    write_model_binary(ss, model);
+    ss << in.rdbuf();
     return ss.str();
 }
 
-std::string table_bytes(const lut::NdTable& table) {
-    std::stringstream ss;
-    write_table_binary(ss, table);
-    return ss.str();
+void write_file(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+// Publishes a single-entry model pack, as the repository's write-back does.
+void write_model_pack(const std::string& path, const std::string& name,
+                      const core::CsmModel& model) {
+    PackWriter writer;
+    writer.add_model(name, model);
+    writer.write(path);
 }
 
 // Shared characterized models (expensive; characterize once per suite).
@@ -97,33 +106,12 @@ struct TempDir {
     std::string str() const { return path.string(); }
 };
 
-// --- binary store round trips -------------------------------------------
-
-TEST(ModelStore, TableRoundTripIsBitExact) {
-    // Values that decimal text formatting historically mangles: subnormals,
-    // negative zero, huge/tiny magnitudes.
-    lut::NdTable t({lut::Axis("x", {-0.12, 0.0, 0.6, 1.32}),
-                    lut::Axis("y", {1e-18, 2.5e-15, 6.4e-13})},
-                   "quirks");
-    const std::vector<double> vals{
-        5e-324, -5e-324, -0.0,   0.0,       1e308,      -1e308,
-        1e-300, 3.14,    -2e-9,  7.77e-16,  0.1,        -0.3,
-    };
-    std::size_t i = 0;
-    t.for_each_grid_point([&](std::span<const std::size_t>,
-                              std::span<const double>, double& slot) {
-        slot = vals[i++ % vals.size()];
-    });
-
-    std::stringstream ss(table_bytes(t));
-    const lut::NdTable back = read_table_binary(ss);
-    EXPECT_EQ(back.name(), "quirks");
-    EXPECT_EQ(table_bytes(back), table_bytes(t));
-}
+// --- pack store round trips ---------------------------------------------
 
 TEST(ModelStore, ModelRoundTripEveryLibraryCell) {
     const Shared& s = Shared::get();
     const core::Characterizer chr(s.lib);
+    TempDir dir("every_cell");
     for (const std::string& name : s.lib.names()) {
         const cells::CellType& cell = s.lib.get(name);
         std::vector<std::string> pins{cell.inputs().front().name};
@@ -137,20 +125,24 @@ TEST(ModelStore, ModelRoundTripEveryLibraryCell) {
             name, kind, pins,
             fast_options(cell.internal_nodes().size() >= 2 ? 5u : 6u));
 
-        std::stringstream ss(binary_bytes(model));
-        const core::CsmModel back = read_model_binary(ss);
-        EXPECT_EQ(binary_bytes(back), binary_bytes(model))
-            << "binary round trip not bit-exact for " << name;
+        const std::string path = dir.str() + "/" + name + kPackExt;
+        write_model_pack(path, name, model);
+        EXPECT_EQ(encode_model(MappedPack::map(path)->materialize_model(name)),
+                  encode_model(model))
+            << "pack round trip not bit-exact for " << name;
     }
 }
 
 TEST(ModelStore, SaveLoadFileRoundTrip) {
     const Shared& s = Shared::get();
     TempDir dir("file_roundtrip");
-    const std::string path = dir.str() + "/nor" + kBinaryModelExt;
-    save_model_binary(path, s.nor);
-    const core::CsmModel back = load_model_binary(path);
-    EXPECT_EQ(binary_bytes(back), binary_bytes(s.nor));
+    const std::string path = dir.str() + "/nor" + kPackExt;
+    write_model_pack(path, "nor", s.nor);
+    const auto pack = MappedPack::map(path);
+    EXPECT_EQ(pack->model_count(), 1u);
+    EXPECT_EQ(pack->model_check("nor"), model_checksum(s.nor));
+    EXPECT_EQ(encode_model(pack->materialize_model("nor")),
+              encode_model(s.nor));
     // Atomic write: only the published file, no temp left behind.
     std::size_t entries = 0;
     for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir.path))
@@ -166,7 +158,7 @@ TEST(ModelIoText, RoundTripIsBitExact) {
         std::stringstream ss;
         core::write_model(ss, *m);
         const core::CsmModel back = core::read_model(ss);
-        EXPECT_EQ(binary_bytes(back), binary_bytes(*m));
+        EXPECT_EQ(encode_model(back), encode_model(*m));
     }
 }
 
@@ -200,53 +192,113 @@ TEST(ModelIoText, LegacyDecimalTablesStillParse) {
 
 // --- corrupt / malformed inputs ------------------------------------------
 
+// Bytes of a single-entry model pack for `model`.
+std::string model_pack_bytes(const core::CsmModel& model) {
+    TempDir dir("pack_bytes");
+    const std::string path = dir.str() + "/m" + kPackExt;
+    write_model_pack(path, "m", model);
+    return read_file(path);
+}
+
+// Maps `bytes` as a pack file; throws what MappedPack::map throws.
+std::shared_ptr<const MappedPack> map_bytes(const std::string& bytes) {
+    TempDir dir("map_bytes");
+    const std::string path = dir.str() + "/p" + kPackExt;
+    write_file(path, bytes);
+    // The mapping outlives the file's directory entry.
+    return MappedPack::map(path);
+}
+
+void poke_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i)
+        bytes[at + static_cast<std::size_t>(i)] =
+            static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+void poke_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+        bytes[at + static_cast<std::size_t>(i)] =
+            static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+std::uint64_t test_fnv1a(std::string_view bytes) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+// Pack header geometry (see the layout in serve/mapped_store.h).
+constexpr std::size_t kPackPage = 4096;
+constexpr std::size_t kPayloadCheckAt = 48;
+constexpr std::size_t kHeaderCheckAt = 56;
+constexpr std::size_t kHeaderEnd = 64;
+
+// Recomputes both checksums after byte surgery, so a structurally corrupt
+// entry reaches the map-time entry validation instead of the checksum.
+void reseal(std::string& bytes) {
+    poke_u64(bytes, kPayloadCheckAt,
+             test_fnv1a(std::string_view(bytes).substr(kPackPage)));
+    poke_u64(bytes, kHeaderCheckAt,
+             test_fnv1a(std::string_view(bytes).substr(0, kHeaderCheckAt)));
+}
+
 TEST(ModelStoreValidation, RejectsBadMagic) {
-    std::string bytes = binary_bytes(Shared::get().nor);
+    std::string bytes = model_pack_bytes(Shared::get().nor);
     bytes[0] = 'X';
-    std::stringstream ss(bytes);
-    EXPECT_THROW(read_model_binary(ss), ModelError);
+    EXPECT_THROW(map_bytes(bytes), ModelError);
 }
 
 TEST(ModelStoreValidation, RejectsBadVersion) {
-    std::string bytes = binary_bytes(Shared::get().nor);
+    std::string bytes = model_pack_bytes(Shared::get().nor);
     bytes[8] = static_cast<char>(bytes[8] + 1);  // version field
-    std::stringstream ss(bytes);
-    EXPECT_THROW(read_model_binary(ss), ModelError);
+    EXPECT_THROW(map_bytes(bytes), ModelError);
+    reseal(bytes);  // a consistent header of another version still fails
+    EXPECT_THROW(map_bytes(bytes), ModelError);
 }
 
 TEST(ModelStoreValidation, RejectsKindMismatch) {
-    // A model envelope is not a table envelope and vice versa.
-    std::stringstream model_ss(binary_bytes(Shared::get().nor));
-    EXPECT_THROW(read_table_binary(model_ss), ModelError);
-    std::stringstream table_ss(table_bytes(Shared::get().nor.i_out));
-    EXPECT_THROW(read_model_binary(table_ss), ModelError);
+    // The directory's kind field decides how an entry is validated: a
+    // model payload relabelled as a surface, or an unknown kind, fails at
+    // map time even with consistent checksums.
+    const std::string good = model_pack_bytes(Shared::get().nor);
+    std::uint64_t dir_offset = 0;
+    std::memcpy(&dir_offset, good.data() + 32, 8);
+    for (const std::uint32_t kind : {kSurfaceKind, 1u, 7u}) {
+        std::string bytes = good;
+        poke_u32(bytes, dir_offset, kind);
+        reseal(bytes);
+        EXPECT_THROW(map_bytes(bytes), ModelError) << "kind=" << kind;
+    }
 }
 
 TEST(ModelStoreValidation, RejectsTruncationAtAnyDepth) {
-    const std::string bytes = binary_bytes(Shared::get().nor);
+    const std::string bytes = model_pack_bytes(Shared::get().nor);
     for (const double frac : {0.001, 0.1, 0.5, 0.9, 0.9999}) {
         const std::size_t cut =
             static_cast<std::size_t>(frac * static_cast<double>(bytes.size()));
-        std::stringstream ss(bytes.substr(0, cut));
-        EXPECT_THROW(read_model_binary(ss), ModelError) << "cut=" << cut;
+        EXPECT_THROW(map_bytes(bytes.substr(0, cut)), ModelError)
+            << "cut=" << cut;
     }
 }
 
 TEST(ModelStoreValidation, RejectsPayloadBitFlips) {
-    const std::string bytes = binary_bytes(Shared::get().nor);
-    // Flip one bit at several payload offsets; the checksum must catch all.
+    const std::string bytes = model_pack_bytes(Shared::get().nor);
+    // Flip one bit at several body offsets; the checksum must catch all.
     for (const double frac : {0.2, 0.5, 0.95}) {
         std::string corrupt = bytes;
         const std::size_t at =
-            32 + static_cast<std::size_t>(
-                     frac * static_cast<double>(bytes.size() - 64));
+            kPackPage + static_cast<std::size_t>(
+                            frac * static_cast<double>(bytes.size() -
+                                                       kPackPage - 1));
         corrupt[at] = static_cast<char>(corrupt[at] ^ 0x10);
-        std::stringstream ss(corrupt);
-        EXPECT_THROW(read_model_binary(ss), ModelError) << "at=" << at;
+        EXPECT_THROW(map_bytes(corrupt), ModelError) << "at=" << at;
     }
 }
 
-// --- new-in-v2 payloads: corner metadata and arc surfaces ---------------
+// --- corner metadata and arc surfaces ------------------------------------
 
 ArcSurfaceData sample_surface() {
     ArcSurfaceData s;
@@ -270,124 +322,99 @@ ArcSurfaceData sample_surface() {
     return s;
 }
 
-std::string surface_bytes(const ArcSurfaceData& s) {
-    std::stringstream ss;
-    write_surface_binary(ss, s);
-    return ss.str();
+std::string surface_pack_bytes(const ArcSurfaceData& s) {
+    TempDir dir("surface_bytes");
+    const std::string path = dir.str() + "/s" + kPackExt;
+    PackWriter writer;
+    writer.add_surface(s.arc_id, s);
+    writer.write(path);
+    return read_file(path);
+}
+
+// Owned copy of a mapped surface: what the writer takes as input.
+ArcSurfaceData owned(const MappedSurface& m) {
+    return ArcSurfaceData{std::string(m.arc_id), m.dt,
+                          m.settle, m.model_check,
+                          lut::NdTable(m.delay), lut::NdTable(m.slew)};
 }
 
 TEST(ModelStore, SurfaceRoundTripIsBitExact) {
     const ArcSurfaceData s = sample_surface();
-    std::stringstream ss(surface_bytes(s));
-    const ArcSurfaceData back = read_surface_binary(ss);
-    EXPECT_EQ(back.arc_id, s.arc_id);
-    EXPECT_EQ(back.dt, s.dt);
-    EXPECT_EQ(back.settle, s.settle);
-    EXPECT_EQ(back.model_check, s.model_check);
-    EXPECT_EQ(surface_bytes(back), surface_bytes(s));
+    const std::string bytes = surface_pack_bytes(s);
+    const auto pack = map_bytes(bytes);
+    const MappedSurface* back = pack->find_surface(s.arc_id);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->arc_id, s.arc_id);
+    EXPECT_EQ(back->dt, s.dt);
+    EXPECT_EQ(back->settle, s.settle);
+    EXPECT_EQ(back->model_check, s.model_check);
+    EXPECT_EQ(surface_pack_bytes(owned(*back)), bytes);
 }
 
 TEST(ModelStore, ModelCarriesCharacterizationTemperature) {
     core::CsmModel m = Shared::get().inv;
     m.temp_c = 85.0;
-    std::stringstream ss(binary_bytes(m));
-    EXPECT_EQ(read_model_binary(ss).temp_c, 85.0);
-    // The text path carries it too.
+    EXPECT_EQ(map_bytes(model_pack_bytes(m))->materialize_model("m").temp_c,
+              85.0);
+    // The text export carries it too.
     std::stringstream text;
     core::write_model(text, m);
     EXPECT_EQ(core::read_model(text).temp_c, 85.0);
 }
 
-namespace {
-std::uint64_t test_fnv1a(const std::string& bytes) {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-void poke_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-        bytes[at + static_cast<std::size_t>(i)] =
-            static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void poke_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-        bytes[at + static_cast<std::size_t>(i)] =
-            static_cast<char>((v >> (8 * i)) & 0xff);
-}
-}  // namespace
-
-TEST(ModelStoreValidation, LegacyV1ModelPayloadStillLoads) {
-    // Reconstruct a pre-corner (version 1) file by byte surgery on the v2
-    // bytes: drop the temp_c double that sits after dv_margin, mark the
-    // envelope as version 1 and re-checksum. Reading it must default the
-    // temperature to the nominal 25 degC -- which makes the reloaded model
-    // re-serialize bitwise identical to the v2 original.
-    const core::CsmModel& nor = Shared::get().nor;
-    ASSERT_EQ(nor.temp_c, 25.0);
-    const std::string v2 = binary_bytes(nor);
-
-    const std::size_t name_len = nor.cell_name.size();
-    const std::size_t temp_at = 32 + 4 + 4 + name_len + 8 + 8;
-    std::string payload = v2.substr(32);
-    payload.erase(temp_at - 32, 8);
-
-    std::string v1 = v2.substr(0, 32) + payload;
-    poke_u32(v1, 8, 1);  // version
-    poke_u64(v1, 16, payload.size());
-    poke_u64(v1, 24, test_fnv1a(payload));
-
-    std::stringstream ss(v1);
-    const core::CsmModel back = read_model_binary(ss);
-    EXPECT_EQ(back.temp_c, 25.0);
-    EXPECT_EQ(binary_bytes(back), v2);
-}
-
-TEST(ModelStoreValidation, SurfaceInV1EnvelopeRejected) {
-    // Surfaces were introduced with format version 2; a v1 envelope
-    // declaring one is corrupt by definition.
-    std::string bytes = surface_bytes(sample_surface());
-    poke_u32(bytes, 8, 1);
-    std::stringstream ss(bytes);
-    EXPECT_THROW(read_surface_binary(ss), ModelError);
-}
-
 TEST(ModelStoreValidation, SurfaceAndModelKindsDoNotCrossLoad) {
-    std::stringstream model_ss(binary_bytes(Shared::get().nor));
-    EXPECT_THROW(read_surface_binary(model_ss), ModelError);
-    std::stringstream surf_ss(surface_bytes(sample_surface()));
-    EXPECT_THROW(read_model_binary(surf_ss), ModelError);
+    TempDir dir("cross_kind");
+    const std::string path = dir.str() + "/p" + kPackExt;
+    PackWriter writer;
+    writer.add_model("m", Shared::get().nor);
+    writer.add_surface("s", sample_surface());
+    writer.write(path);
+    const auto pack = MappedPack::map(path);
+    EXPECT_EQ(pack->find_surface("m"), nullptr);
+    EXPECT_EQ(pack->model_check("s"), 0u);
+    EXPECT_THROW(pack->materialize_model("s"), ModelError);
 }
 
-// Fuzz-style robustness over the v2 payload kinds: seeded random
-// truncations and single-bit flips over freshly written files must always
-// throw ModelError before any object exists -- never crash, never yield a
-// partial surface/model.
+// Every mapped entry of `pack`, rendered to bytes: equal fingerprints mean
+// bitwise-equal models and surfaces.
+std::string fingerprint(const MappedPack& pack) {
+    std::string out;
+    for (const std::string& name : pack.model_names())
+        out += name + encode_model(pack.materialize_model(name));
+    for (const std::string& name : pack.surface_names()) {
+        const ArcSurfaceData s = owned(*pack.find_surface(name));
+        out += name + s.arc_id;
+        for (const double v : {s.dt, s.settle})
+            out.append(reinterpret_cast<const char*>(&v), sizeof v);
+        out += std::to_string(s.model_check);
+        for (const lut::NdTable* t : {&s.delay, &s.slew}) {
+            for (const lut::Axis& ax : t->axes())
+                out.append(reinterpret_cast<const char*>(ax.knots().data()),
+                           ax.knots().size() * sizeof(double));
+            out.append(reinterpret_cast<const char*>(t->values().data()),
+                       t->values().size() * sizeof(double));
+        }
+    }
+    return out;
+}
+
+// Fuzz-style robustness over both entry kinds: seeded random truncations
+// and single-bit flips over freshly written single-entry packs must throw
+// ModelError at map time -- never crash, never yield a partial entry. The
+// one exception is the header-page padding after the header fields, which
+// no checksum covers by design: a flip there must leave every mapped entry
+// bitwise equal to the original.
 TEST(ModelStoreValidation, FuzzedTruncationsAndBitFlipsAlwaysThrow) {
-    const std::string surface = surface_bytes(sample_surface());
-    const std::string model = binary_bytes(Shared::get().inv);
     std::mt19937 gen(0xC0FFEEu);
-
-    const auto read_any = [](const std::string& bytes, bool is_surface) {
-        std::stringstream ss(bytes);
-        if (is_surface)
-            (void)read_surface_binary(ss);
-        else
-            (void)read_model_binary(ss);
-    };
-
-    for (const bool is_surface : {true, false}) {
-        const std::string& bytes = is_surface ? surface : model;
+    for (const std::string& bytes :
+         {surface_pack_bytes(sample_surface()),
+          model_pack_bytes(Shared::get().inv)}) {
+        const std::string want = fingerprint(*map_bytes(bytes));
         for (int i = 0; i < 60; ++i) {
             const std::size_t cut = std::uniform_int_distribution<
                 std::size_t>(0, bytes.size() - 1)(gen);
-            EXPECT_THROW(read_any(bytes.substr(0, cut), is_surface),
-                         ModelError)
-                << (is_surface ? "surface" : "model") << " cut=" << cut;
+            EXPECT_THROW(map_bytes(bytes.substr(0, cut)), ModelError)
+                << "cut=" << cut;
         }
         for (int i = 0; i < 80; ++i) {
             std::string corrupt = bytes;
@@ -395,9 +422,13 @@ TEST(ModelStoreValidation, FuzzedTruncationsAndBitFlipsAlwaysThrow) {
                 std::size_t>(0, bytes.size() - 1)(gen);
             const int bit = std::uniform_int_distribution<int>(0, 7)(gen);
             corrupt[at] = static_cast<char>(corrupt[at] ^ (1 << bit));
-            EXPECT_THROW(read_any(corrupt, is_surface), ModelError)
-                << (is_surface ? "surface" : "model") << " at=" << at
-                << " bit=" << bit;
+            if (at >= kHeaderEnd && at < kPackPage) {
+                EXPECT_EQ(fingerprint(*map_bytes(corrupt)), want)
+                    << "padding at=" << at;
+            } else {
+                EXPECT_THROW(map_bytes(corrupt), ModelError)
+                    << "at=" << at << " bit=" << bit;
+            }
         }
     }
 }
@@ -464,17 +495,19 @@ TEST(Repository, CorruptFileFailsAndCacheStaysClean) {
     RepositoryOptions opt;
     opt.dir = dir.str();
     ModelRepository repo(nullptr, opt);
-    {
-        std::ofstream os(repo.binary_path(key), std::ios::binary);
-        os << "MCSMBIN1 but not really";
-    }
+    write_file(repo.store_path(key), "MCSMMAP3 but not really");
     EXPECT_THROW(repo.get(key), ModelError);
     EXPECT_EQ(repo.cached_count(), 0u);  // no partial model cached
 
+    // A valid pack that lacks the key's entry fails the same way.
+    write_model_pack(repo.store_path(key), "other", s.nor);
+    EXPECT_THROW(repo.get(key), ModelError);
+    EXPECT_EQ(repo.cached_count(), 0u);
+
     // Replacing the corrupt file heals the key without restarting.
-    save_model_binary(repo.binary_path(key), s.nor);
+    write_model_pack(repo.store_path(key), key.to_string(), s.nor);
     const auto model = repo.get(key);
-    EXPECT_EQ(binary_bytes(*model), binary_bytes(s.nor));
+    EXPECT_EQ(encode_model(*model), encode_model(s.nor));
     EXPECT_TRUE(repo.cached(key));
 }
 
@@ -508,26 +541,34 @@ TEST(Repository, WriteBackThenColdLoadIsBitExact) {
     {
         ModelRepository warm(&s.lib, opt);
         warm.put(key, s.nor);
-        EXPECT_TRUE(fs::exists(warm.binary_path(key)));
+        EXPECT_TRUE(fs::exists(warm.store_path(key)));
     }
     ModelRepository cold(nullptr, opt);  // no library: disk only
-    EXPECT_EQ(binary_bytes(*cold.get(key)), binary_bytes(s.nor));
+    EXPECT_EQ(encode_model(*cold.get(key)), encode_model(s.nor));
     EXPECT_EQ(cold.characterize_count(), 0u);
 }
 
-TEST(Repository, MigratesLegacyTextStoreToBinary) {
+TEST(Repository, FailedWriteBackStillCachesTheModel) {
+    // The store directory cannot exist: its parent is a regular file. The
+    // characterized model must still be cached and served -- one
+    // characterization, however many gets -- and the lost write counted.
     const Shared& s = Shared::get();
-    TempDir dir("migrate");
-    const ModelKey key = ModelKey::arc("NOR2", {"A", "B"});
-
+    TempDir dir("blocked");
+    write_file(dir.str() + "/blocker", "a file, not a directory");
     RepositoryOptions opt;
-    opt.dir = dir.str();
-    core::save_model(dir.str() + "/" + key.to_string() + kTextModelExt,
-                     s.nor);
+    opt.dir = dir.str() + "/blocker/models";
+    opt.char_options = fast_options();
+    ModelRepository repo(&s.lib, opt);
 
-    ModelRepository repo(nullptr, opt);
-    EXPECT_EQ(binary_bytes(*repo.get(key)), binary_bytes(s.nor));
-    EXPECT_TRUE(fs::exists(repo.binary_path(key)));  // migrated on load
+    obs::Counter& failures = obs::counter("serve.store.write_failures");
+    const long long before = failures.value();
+    const ModelKey key = ModelKey::arc("NOR2", {"A", "B"});
+    for (int i = 0; i < 3; ++i) EXPECT_NO_THROW(repo.get(key));
+    EXPECT_EQ(repo.characterize_count(), 1u);
+    EXPECT_TRUE(repo.cached(key));
+    if (obs::compiled_in()) {
+        EXPECT_EQ(failures.value() - before, 1);
+    }
 }
 
 // --- repository corner keying ---------------------------------------------
@@ -561,21 +602,21 @@ TEST(Repository, CornerModelsCharacterizeCacheAndReloadDistinctly) {
         EXPECT_EQ(nom->temp_c, 25.0);
         EXPECT_EQ(hot_model->vdd, 1.0);
         EXPECT_EQ(hot_model->temp_c, 100.0);
-        nom_bytes = binary_bytes(*nom);
-        hot_bytes = binary_bytes(*hot_model);
+        nom_bytes = encode_model(*nom);
+        hot_bytes = encode_model(*hot_model);
         EXPECT_NE(nom_bytes, hot_bytes);
-        EXPECT_TRUE(fs::exists(warm.binary_path(nominal)));
-        EXPECT_TRUE(fs::exists(warm.binary_path(corner)));
+        EXPECT_TRUE(fs::exists(warm.store_path(nominal)));
+        EXPECT_TRUE(fs::exists(warm.store_path(corner)));
     }
 
-    // Cold restart from the binary store, no library attached: both corner
+    // Cold restart from the pack store, no library attached: both corner
     // variants reload bit-exactly from their own files, without
     // characterization and without cross-corner cache hits.
     ModelRepository cold(nullptr, opt);
-    EXPECT_EQ(binary_bytes(*cold.get(corner)), hot_bytes);
+    EXPECT_EQ(encode_model(*cold.get(corner)), hot_bytes);
     EXPECT_TRUE(cold.cached(corner));
     EXPECT_FALSE(cold.cached(nominal));
-    EXPECT_EQ(binary_bytes(*cold.get(nominal)), nom_bytes);
+    EXPECT_EQ(encode_model(*cold.get(nominal)), nom_bytes);
     EXPECT_EQ(cold.characterize_count(), 0u);
 }
 

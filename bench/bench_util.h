@@ -95,8 +95,9 @@ struct BenchTiming {
 // Runs `body` `reps` times on steady_clock and aggregates.
 BenchTiming time_reps_ms(int reps, const std::function<void()>& body);
 
-// Per-cycle cost of the Newton inner loop (batched assemble + factor +
-// solve on the workspace) on the flattened chain, microseconds.
+// Per-cycle cost of the DC Newton iteration on the flattened chain's
+// workspace (batched assemble, gmin, residual, factor, one solve), in
+// microseconds, averaged over a fixed window of at least 150 ms.
 double time_newton_cycle_us(const cells::CellLibrary& lib, int stages);
 
 // Per-assembly cost of the device-evaluation pass alone (no solve) on the

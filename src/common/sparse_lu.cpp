@@ -270,30 +270,4 @@ void SparseLu::solve_block(const double* b, double* x,
     }
 }
 
-void SparseLu::solve(const std::vector<double>& b,
-                     std::vector<double>& x) const {
-    require(analyzed(), "SparseLu: factor() before solve()");
-    require(b.size() == n_, "SparseLu: rhs size mismatch");
-    x.resize(n_);
-
-    // Forward: L y = P b (unit lower triangle), y stored in x.
-    for (std::size_t i = 0; i < n_; ++i) {
-        double acc = b[static_cast<std::size_t>(perm_[i])];
-        const int dp = diag_pos_[i];
-        for (int s = lu_row_ptr_[i]; s < dp; ++s)
-            acc -= lu_vals_[static_cast<std::size_t>(s)] *
-                   x[static_cast<std::size_t>(lu_cols_[s])];
-        x[i] = acc;
-    }
-    // Backward: U x = y.
-    for (std::size_t i = n_; i-- > 0;) {
-        double acc = x[i];
-        const int row_end = lu_row_ptr_[i + 1];
-        for (int s = diag_pos_[i] + 1; s < row_end; ++s)
-            acc -= lu_vals_[static_cast<std::size_t>(s)] *
-                   x[static_cast<std::size_t>(lu_cols_[s])];
-        x[i] = acc * inv_diag_[i];
-    }
-}
-
 }  // namespace mcsm

@@ -26,16 +26,14 @@ public:
     // is singular up to pivot_floor.
     void factor(const SparseMatrix& a, double pivot_floor = 1e-30);
 
-    // Solves A x = b with the current factorization. x is resized to n;
-    // no allocation once its capacity is established.
-    void solve(const std::vector<double>& b, std::vector<double>& x) const;
-
     // Solves A X = B for `nrhs` right-hand sides with one forward/backward
     // pass over the factors. B and X are interleaved (the entry for unknown
     // i of system j sits at [i * nrhs + j]) so the substitution inner loops
     // run contiguously over the RHS dimension — each L/U value is loaded
     // once and applied to the whole block, and the loops vectorize across
     // systems. Both buffers must hold n * nrhs doubles; allocation-free.
+    // This is the only solve: nrhs = 1 is the single-system case every
+    // Newton iteration uses.
     void solve_block(const double* b, double* x, std::size_t nrhs) const;
 
     bool analyzed() const { return n_ > 0; }

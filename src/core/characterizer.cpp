@@ -20,7 +20,6 @@ namespace {
 
 using cells::CellType;
 using spice::Circuit;
-using spice::DcOptions;
 using spice::Mosfet;
 using spice::SourceSpec;
 
@@ -570,7 +569,6 @@ CsmModel Characterizer::characterize(
 
     const std::vector<std::size_t> sizes(dim, knots.size());
     const std::size_t g_knots = knots.size();
-    DcOptions dc_opt;
 
     // Per-worker sweep bench: a private testbench fixture with its own
     // solver workspace.
@@ -648,9 +646,6 @@ CsmModel Characterizer::characterize(
             swept.push_back(&bfx.circuit.vsource(bfx.internal_sources[j]));
         swept.push_back(&bfx.circuit.vsource(bfx.out_source));
 
-        spice::DcSweepOptions sopt;
-        sopt.dc = dc_opt;
-
         // Bounded chunks keep the value/index staging small on the 5-axis
         // slices of 3-pin MCSM models; the chunk size is fixed so chunk
         // boundaries (and results) never depend on scheduling.
@@ -677,7 +672,7 @@ CsmModel Characterizer::characterize(
                 }
             }
             spice::solve_dc_sweep(
-                bfx.circuit, swept, vals, idxs.size(), sopt,
+                bfx.circuit, swept, vals, idxs.size(), {},
                 warm.empty() ? nullptr : &warm,
                 [&](std::size_t p, const std::vector<double>& x) {
                     record_point(b, idxs[p], x);

@@ -5,8 +5,39 @@
 #include "common/error.h"
 #include "spice/cap_companion.h"
 #include "spice/circuit.h"
+#include "spice/dc_solver.h"
+#include "spice/tran_solver.h"
 
 namespace mcsm::core {
+
+// Declared in core/model.h; defined here so the model stays free of the
+// solver. Node names and order match ModelCell's, so both circuits
+// assemble the same system.
+std::vector<double> CsmModel::dc_state(
+    std::span<const double> pin_volts) const {
+    require(pin_volts.size() == pin_count(), "dc_state: pin count mismatch");
+    spice::Circuit c;
+    std::vector<int> pin_nodes;
+    for (std::size_t p = 0; p < pin_count(); ++p) {
+        pin_nodes.push_back(c.node("in_" + pins[p]));
+        c.add_vsource("V" + pins[p], pin_nodes.back(),
+                      spice::Circuit::kGround,
+                      spice::SourceSpec::dc(pin_volts[p]));
+    }
+    std::vector<int> internal_nodes;
+    for (const std::string& n : internals)
+        internal_nodes.push_back(c.node("int_" + n));
+    const int out = c.node("out");
+    c.add_device<CsmCellDevice>("DUT", *this, std::move(pin_nodes),
+                                internal_nodes, out);
+
+    const spice::DcResult dc = spice::solve_dc(c, spice::fast_dc_options());
+    std::vector<double> state;
+    state.reserve(internal_nodes.size() + 1);
+    for (int n : internal_nodes) state.push_back(dc.node_voltage(n));
+    state.push_back(dc.node_voltage(out));
+    return state;
+}
 
 CsmCellDevice::CsmCellDevice(std::string name, const CsmModel& model,
                              std::vector<int> pin_nodes,

@@ -1,11 +1,6 @@
 #include "core/model.h"
 
-#include <cmath>
-
 #include "common/error.h"
-#include "common/numeric.h"
-#include "common/dense_matrix.h"
-#include "common/linear_solver.h"
 
 namespace mcsm::core {
 
@@ -51,95 +46,6 @@ void CsmModel::check_consistent() const {
 double CsmModel::cin(std::size_t p, double vin) const {
     const double q[1] = {vin};
     return c_in[p].at(std::span<const double>(q, 1));
-}
-
-std::vector<double> CsmModel::dc_state(
-    std::span<const double> pin_volts) const {
-    require(pin_volts.size() == pin_count(), "dc_state: pin count mismatch");
-    const std::size_t k = internal_count();
-    const std::size_t n_unknowns = k + 1;  // internals + output
-    const std::size_t d = dim();
-
-    std::vector<double> v(d, 0.0);
-    for (std::size_t p = 0; p < pin_count(); ++p) v[p] = pin_volts[p];
-
-    // Coarse scan for a Newton starting point: minimizes the worst residual
-    // over a small grid of the unknowns (robust against the plateaus of the
-    // multilinear interpolants).
-    {
-        const std::vector<double> levels =
-            linspace(0.0, vdd, 7);
-        std::vector<std::size_t> idx(n_unknowns, 0);
-        std::vector<double> best(n_unknowns, 0.5 * vdd);
-        double best_score = 1e300;
-        for (;;) {
-            for (std::size_t j = 0; j < n_unknowns; ++j)
-                v[pin_count() + j] = levels[idx[j]];
-            double score = 0.0;
-            for (std::size_t r = 0; r < n_unknowns; ++r) {
-                const lut::NdTable& table = r < k ? i_internal[r] : i_out;
-                score = std::max(score, std::fabs(table.at(v)));
-            }
-            if (score < best_score) {
-                best_score = score;
-                for (std::size_t j = 0; j < n_unknowns; ++j)
-                    best[j] = v[pin_count() + j];
-            }
-            std::size_t dpos = n_unknowns;
-            while (dpos-- > 0) {
-                if (++idx[dpos] < levels.size()) break;
-                idx[dpos] = 0;
-                if (dpos == 0) goto scan_done;
-            }
-        }
-    scan_done:
-        for (std::size_t j = 0; j < n_unknowns; ++j)
-            v[pin_count() + j] = best[j];
-    }
-
-    // Residual: [IN_0..IN_{k-1}, Io] = 0. Damped Newton on the multilinear
-    // interpolants; gradients are exact within each cell.
-    std::vector<double> grad(d, 0.0);
-    const int max_iter = 200;
-    for (int it = 0; it < max_iter; ++it) {
-        DenseMatrix jac(n_unknowns, n_unknowns);
-        std::vector<double> residual(n_unknowns, 0.0);
-        for (std::size_t r = 0; r < n_unknowns; ++r) {
-            const lut::NdTable& table =
-                r < k ? i_internal[r] : i_out;
-            residual[r] = table.at_with_gradient(v, grad);
-            for (std::size_t c = 0; c < n_unknowns; ++c)
-                jac.at(r, c) = grad[pin_count() + c];
-        }
-
-        double res_norm = 0.0;
-        for (double r : residual) res_norm = std::max(res_norm, std::fabs(r));
-        // Current scale: table max gives the natural residual unit.
-        const double unit = std::max(1e-12, i_out.max_abs());
-        if (res_norm < 1e-9 * unit) break;
-
-        std::vector<double> step;
-        try {
-            // Regularize: multilinear plateaus can make the Jacobian
-            // singular; a small diagonal keeps Newton moving.
-            for (std::size_t jj = 0; jj < n_unknowns; ++jj)
-                jac.at(jj, jj) += 1e-9 * unit;
-            step = solve_lu(jac, residual);
-        } catch (const NumericalError&) {
-            break;
-        }
-        double max_step = 0.0;
-        for (double s : step) max_step = std::max(max_step, std::fabs(s));
-        const double alpha = max_step > 0.2 ? 0.2 / max_step : 1.0;
-        for (std::size_t c = 0; c < n_unknowns; ++c) {
-            double& x = v[pin_count() + c];
-            x = clamp(x - alpha * step[c], -dv_margin, vdd + dv_margin);
-        }
-        if (alpha * max_step < 1e-12) break;
-    }
-
-    return std::vector<double>(v.begin() + static_cast<std::ptrdiff_t>(pin_count()),
-                               v.end());
 }
 
 }  // namespace mcsm::core

@@ -90,8 +90,16 @@ struct CsmModel {
 
     // Model-consistent DC state: solves Io = 0 and IN_j = 0 for the output
     // and internal-node voltages, given the pin voltages. Used to initialize
-    // simulations. `pin_volts` has pin_count() entries. Returns
-    // [internals..., out] voltages.
+    // the explicit integrator (core/explicit_sim.h). `pin_volts` has
+    // pin_count() entries. Returns [internals..., out] voltages.
+    //
+    // This is spice::solve_dc on a one-cell circuit (a DC source per pin, a
+    // CsmCellDevice on fresh internal and output nodes) with the exact
+    // path's t=0 settings (spice::fast_dc_options()), so it is the operating
+    // point a ModelCell transient starts from; it is defined next to the
+    // device in core/csm_device.cpp. Throws NumericalError when that solve
+    // does not converge, and ModelError on a pin count mismatch or an
+    // inconsistent model.
     std::vector<double> dc_state(std::span<const double> pin_volts) const;
 };
 

@@ -1,6 +1,8 @@
 #include "spice/dc_solver.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -10,59 +12,64 @@ namespace mcsm::spice {
 
 namespace {
 
-// One NR solve at fixed gmin. Returns iterations used, or -1 if it failed.
-// The circuit's persistent workspace supplies the assembly storage and the
-// factorization; the iteration body performs no heap allocation.
-int newton_dc(Circuit& circuit, const DcOptions& options, double gmin,
-              std::vector<double>& x, int max_iterations = 0) {
-    if (max_iterations <= 0) max_iterations = options.max_iterations;
-    const int n_nodes = circuit.node_count();
-    SolverWorkspace& ws = circuit.workspace();
+constexpr std::size_t kSweepBlock = 32;  // bias points per shared factor
+constexpr int kSharedRounds = 25;        // shared rounds before fallback
 
-    SimContext ctx;
-    ctx.mode = SimContext::Mode::kDc;
-    ctx.time = options.time;
-    ctx.source_scale = options.source_scale;
-    ctx.x = &x;
+// Residual and update buffers of the Newton iteration, in unknown space.
+struct NewtonBuffers {
+    explicit NewtonBuffers(std::size_t n_u) : r(n_u, 0.0), d(n_u, 0.0) {}
+    std::vector<double> r;
+    std::vector<double> d;
+};
 
-    for (int it = 0; it < max_iterations; ++it) {
+// Both helpers read an unknown-space update d with a stride, so one column
+// of an interleaved solve_block result serves directly (stride 1 for a
+// single system).
+
+// Largest node-voltage entry of d (the node rows come first).
+double node_step(const double* d, std::size_t stride,
+                 std::size_t n_node_rows) {
+    double m = 0.0;
+    for (std::size_t i = 0; i < n_node_rows; ++i)
+        m = std::max(m, std::fabs(d[i * stride]));
+    return m;
+}
+
+// x += alpha * d, x in solution layout (unknown i is x[i + 1]).
+void apply_update(std::vector<double>& x, const double* d,
+                  std::size_t stride, double alpha) {
+    for (std::size_t i = 0; i + 1 < x.size(); ++i)
+        x[i + 1] += alpha * d[i * stride];
+}
+
+// The DC Newton: up to `budget` delta-form iterations from x at shunt
+// `gmin`, each one assemble + residual + factor + solve. Every iteration
+// that runs is counted into `iterations`. Returns true once the node update
+// falls below kDcVtol (that last update applied undamped); false on budget
+// exhaustion, a singular Jacobian or a non-finite update. Allocation-free.
+bool newton_dc(SolverWorkspace& ws, const SimContext& ctx, double gmin,
+               int budget, std::vector<double>& x, NewtonBuffers& buf,
+               std::size_t n_node_rows, int& iterations) {
+    for (int it = 0; it < budget; ++it) {
+        ++iterations;
         Stamper& st = ws.assemble(ctx);
         st.add_gmin_everywhere(gmin);
-
-        const std::vector<double>* sol_ptr;
+        ws.residual(x, buf.r);
         try {
-            sol_ptr = &ws.solve();
+            ws.factor();
         } catch (const NumericalError&) {
-            return -1;
+            return false;
         }
-        const std::vector<double>& sol = *sol_ptr;
+        ws.solve_block(buf.r.data(), buf.d.data(), 1);
 
-        // Measure the node-voltage update before damping.
-        double dx_max = 0.0;
-        for (int node = 1; node < n_nodes; ++node) {
-            const int u = st.unknown_of_node(node);
-            dx_max = std::max(
-                dx_max, std::fabs(sol[static_cast<std::size_t>(u)] -
-                                  x[static_cast<std::size_t>(node)]));
-        }
+        const double dx_max = node_step(buf.d.data(), 1, n_node_rows);
+        if (!std::isfinite(dx_max)) return false;
         const double alpha =
-            dx_max > options.max_update ? options.max_update / dx_max : 1.0;
-
-        for (int node = 1; node < n_nodes; ++node) {
-            const int u = st.unknown_of_node(node);
-            auto& xv = x[static_cast<std::size_t>(node)];
-            xv += alpha * (sol[static_cast<std::size_t>(u)] - xv);
-        }
-        for (int br = 0; br < circuit.branch_total(); ++br) {
-            const int u = st.unknown_of_branch(br);
-            auto& xb = x[static_cast<std::size_t>(n_nodes + br)];
-            xb += alpha * (sol[static_cast<std::size_t>(u)] - xb);
-        }
-
-        if (dx_max < options.vtol) return it + 1;
-        if (!std::isfinite(dx_max)) return -1;
+            dx_max > kDcMaxUpdate ? kDcMaxUpdate / dx_max : 1.0;
+        apply_update(x, buf.d.data(), 1, alpha);
+        if (dx_max < kDcVtol) return true;
     }
-    return -1;
+    return false;
 }
 
 // Mirrors DcResult::iterations into the obs counters (one source: the
@@ -74,14 +81,19 @@ void publish_dc_iters(int iterations) {
     iters.add(iterations);
 }
 
+std::size_t solution_size(const Circuit& circuit) {
+    return static_cast<std::size_t>(circuit.node_count() +
+                                    circuit.branch_total());
+}
+
 }  // namespace
 
 DcResult solve_dc(Circuit& circuit, const DcOptions& options,
                   const std::vector<double>* initial) {
     const obs::Span span("spice.solve_dc");
     circuit.prepare();
-    const std::size_t x_size = static_cast<std::size_t>(
-        circuit.node_count() + circuit.branch_total());
+    const std::size_t x_size = solution_size(circuit);
+    SolverWorkspace& ws = circuit.workspace();
 
     DcResult result;
     if (initial != nullptr) {
@@ -92,37 +104,37 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options,
     }
     result.x[0] = 0.0;
 
-    // Fast path: try a direct solve at the final gmin (warm starts usually
+    SimContext ctx;
+    ctx.mode = SimContext::Mode::kDc;
+    ctx.x = &result.x;
+    NewtonBuffers buf(ws.system_size());
+    const auto n_node_rows = static_cast<std::size_t>(circuit.node_count() - 1);
+    auto newton = [&](double gmin, int budget) {
+        return newton_dc(ws, ctx, gmin, budget, result.x, buf, n_node_rows,
+                         result.iterations);
+    };
+
+    // Fast path: a direct solve at the final gmin (warm starts usually
     // converge immediately). Cold starts may cap the probe's iteration
     // budget -- a failure here only costs time, never the solution.
-    const int probe_budget =
-        initial == nullptr ? options.cold_probe_iterations : 0;
-    int iters =
-        newton_dc(circuit, options, options.gmin_final, result.x, probe_budget);
-    if (iters >= 0) {
-        result.iterations = iters;
-        publish_dc_iters(result.iterations);
-        return result;
-    }
-
-    // gmin stepping from a heavy shunt down to gmin_final.
-    result.x.assign(x_size, 0.0);
-    int total = 0;
-    for (double gmin = 1e-2; gmin > options.gmin_final * 0.5; gmin *= 0.1) {
-        const double g = std::max(gmin, options.gmin_final);
-        iters = newton_dc(circuit, options, g, result.x);
-        if (iters < 0) {
-            throw NumericalError("solve_dc: gmin stepping failed at gmin=" +
-                                 std::to_string(g));
+    const int probe_budget = initial == nullptr &&
+                                     options.cold_probe_iterations > 0
+                                 ? options.cold_probe_iterations
+                                 : kDcMaxIterations;
+    if (!newton(kDcGmin, probe_budget)) {
+        // gmin stepping from zero: a heavy shunt first, then one stage per
+        // decade, ending with exactly one stage at kDcGmin.
+        std::fill(result.x.begin(), result.x.end(), 0.0);
+        for (double g = 1e-2;; g *= 0.1) {
+            const bool last = g < 2.0 * kDcGmin;
+            const double gmin = last ? kDcGmin : g;
+            if (!newton(gmin, kDcMaxIterations))
+                throw NumericalError(
+                    "solve_dc: gmin stepping failed at gmin=" +
+                    std::to_string(gmin));
+            if (last) break;
         }
-        total += iters;
-        if (g == options.gmin_final) break;
     }
-    // Ensure the final stage ran at gmin_final even if the loop exited early.
-    iters = newton_dc(circuit, options, options.gmin_final, result.x);
-    if (iters < 0)
-        throw NumericalError("solve_dc: final stage failed to converge");
-    result.iterations = total + iters;
     publish_dc_iters(result.iterations);
     return result;
 }
@@ -132,9 +144,9 @@ namespace {
 // Scratch for one solve_dc_sweep call; every buffer is sized once so the
 // per-round loop stays allocation-free.
 struct SweepScratch {
+    explicit SweepScratch(std::size_t n_u) : newton(n_u) {}
     std::vector<std::vector<double>> xs;  // per-point iterates (x layout)
-    std::vector<double> u;                // one iterate in unknown space
-    std::vector<double> r;                // one residual in unknown space
+    NewtonBuffers newton;                 // one point's residual / update
     std::vector<double> r_block;          // interleaved residual block
     std::vector<double> d_block;          // interleaved update block
     std::vector<char> converged;
@@ -142,29 +154,21 @@ struct SweepScratch {
     std::vector<std::size_t> active;      // block-local ids of live points
 };
 
-// x (node/branch layout) -> unknown-space vector (ground dropped).
-void to_unknowns(const std::vector<double>& x, int n_nodes, int n_branches,
-                 std::vector<double>& u) {
-    for (int node = 1; node < n_nodes; ++node)
-        u[static_cast<std::size_t>(node - 1)] =
-            x[static_cast<std::size_t>(node)];
-    for (int br = 0; br < n_branches; ++br)
-        u[static_cast<std::size_t>(n_nodes - 1 + br)] =
-            x[static_cast<std::size_t>(n_nodes + br)];
-}
-
 }  // namespace
 
 void solve_dc_sweep(
     Circuit& circuit, const std::vector<VSource*>& swept,
     std::span<const double> values, std::size_t n_points,
-    const DcSweepOptions& options, const std::vector<double>* initial,
+    const DcOptions& options, const std::vector<double>* initial,
     const std::function<void(std::size_t, const std::vector<double>&)>&
         on_point) {
     const std::size_t n_swept = swept.size();
     require(values.size() == n_points * n_swept,
             "solve_dc_sweep: values size mismatch");
     circuit.prepare();
+    const std::size_t x_size = solution_size(circuit);
+    require(initial == nullptr || initial->size() == x_size,
+            "solve_dc_sweep: bad initial size");
     SolverWorkspace& ws = circuit.workspace();
 
     auto program_point = [&](std::size_t p) {
@@ -200,17 +204,12 @@ void solve_dc_sweep(
         return true;
     }();
 
-    const int n_nodes = circuit.node_count();
-    const int n_branches = circuit.branch_total();
     const std::size_t n_u = ws.system_size();
-    const std::size_t x_size =
-        static_cast<std::size_t>(n_nodes + n_branches);
-    const std::size_t block = std::max<std::size_t>(1, options.block);
+    const auto n_node_rows = static_cast<std::size_t>(circuit.node_count() - 1);
+    const std::size_t block = kSweepBlock;
 
-    SweepScratch s;
+    SweepScratch s(n_u);
     s.xs.assign(block, std::vector<double>(x_size, 0.0));
-    s.u.assign(n_u, 0.0);
-    s.r.assign(n_u, 0.0);
     s.r_block.assign(n_u * block, 0.0);
     s.d_block.assign(n_u * block, 0.0);
     s.converged.assign(block, 0);
@@ -219,8 +218,6 @@ void solve_dc_sweep(
 
     SimContext ctx;
     ctx.mode = SimContext::Mode::kDc;
-    ctx.time = options.dc.time;
-    ctx.source_scale = options.dc.source_scale;
 
     const std::vector<double>* warm = initial;
     for (std::size_t base = 0; base < n_points; base += block) {
@@ -234,7 +231,7 @@ void solve_dc_sweep(
         // (the source rows are linear, so the branch-current update it
         // produces is exact and the node delta is ~0).
         for (std::size_t j = 0; j < bm; ++j) {
-            if (warm != nullptr && warm->size() == x_size)
+            if (warm != nullptr)
                 s.xs[j] = *warm;
             else
                 std::fill(s.xs[j].begin(), s.xs[j].end(), 0.0);
@@ -255,7 +252,7 @@ void solve_dc_sweep(
             s.needs_fallback[j] = 0;
         }
 
-        for (int round = 0; round < options.shared_rounds; ++round) {
+        for (int round = 0; round < kSharedRounds; ++round) {
             s.active.clear();
             for (std::size_t j = 0; j < bm; ++j)
                 if (!s.converged[j] && !s.needs_fallback[j])
@@ -267,16 +264,16 @@ void solve_dc_sweep(
             // true residuals, and factor the lead point's Jacobian (before
             // the next assembly overwrites the shared matrix storage).
             bool factored = false;
+            std::vector<double>& r = s.newton.r;
             for (std::size_t a = 0; a < na; ++a) {
                 const std::size_t j = s.active[a];
                 program_point(base + j);
                 ctx.x = &s.xs[j];
                 Stamper& st = ws.assemble(ctx);
-                st.add_gmin_everywhere(options.dc.gmin_final);
-                to_unknowns(s.xs[j], n_nodes, n_branches, s.u);
-                ws.residual(s.u, s.r);
+                st.add_gmin_everywhere(kDcGmin);
+                ws.residual(s.xs[j], r);
                 for (std::size_t i = 0; i < n_u; ++i)
-                    s.r_block[i * na + a] = s.r[i];
+                    s.r_block[i * na + a] = r[i];
                 if (!factored) {
                     try {
                         ws.factor();
@@ -293,78 +290,39 @@ void solve_dc_sweep(
             for (std::size_t a = 0; a < na; ++a) {
                 const std::size_t j = s.active[a];
                 if (s.needs_fallback[j]) continue;
-                double dx_max = 0.0;
-                for (int node = 1; node < n_nodes; ++node) {
-                    const std::size_t u = static_cast<std::size_t>(node - 1);
-                    dx_max = std::max(dx_max,
-                                      std::fabs(s.d_block[u * na + a]));
-                }
+                const double* d = s.d_block.data() + a;
+                const double dx_max = node_step(d, na, n_node_rows);
                 if (!std::isfinite(dx_max)) {
                     s.needs_fallback[j] = 1;
                     continue;
                 }
-                const double alpha = dx_max > options.dc.max_update
-                                         ? options.dc.max_update / dx_max
-                                         : 1.0;
-                std::vector<double>& x = s.xs[j];
-                for (int node = 1; node < n_nodes; ++node)
-                    x[static_cast<std::size_t>(node)] +=
-                        alpha *
-                        s.d_block[static_cast<std::size_t>(node - 1) * na + a];
-                for (int br = 0; br < n_branches; ++br)
-                    x[static_cast<std::size_t>(n_nodes + br)] +=
-                        alpha *
-                        s.d_block[static_cast<std::size_t>(n_nodes - 1 + br) *
-                                      na +
-                                  a];
-                if (dx_max < options.dc.vtol) s.converged[j] = 1;
+                const double alpha =
+                    dx_max > kDcMaxUpdate ? kDcMaxUpdate / dx_max : 1.0;
+                apply_update(s.xs[j], d, na, alpha);
+                if (dx_max < kDcVtol) s.converged[j] = 1;
             }
         }
 
         // Acceptance: the shared-matrix step test alone can under-resolve a
         // node whose local conductance is far below the lead point's (a
         // small J_lead^-1 r does not imply a small J_j^-1 r), so every
-        // candidate must pass one exact-Newton step with its own Jacobian
-        // — the same criterion the per-point solver uses. The step is
-        // applied (it is a free accuracy improvement); a failed check or a
-        // never-converged point takes the robust per-point path (own
-        // pivoting per iteration, gmin stepping) from its current iterate.
+        // candidate must pass one solve_dc iteration with its own Jacobian
+        // — the per-point solver's own criterion. Its step is kept (a free
+        // accuracy improvement); a failed check or a never-converged point
+        // takes the per-point path (gmin stepping if need be) from its
+        // current iterate.
         for (std::size_t j = 0; j < bm; ++j) {
             bool accepted = fully_forced && s.converged[j];
             if (!accepted && s.converged[j] && !s.needs_fallback[j]) {
                 program_point(base + j);
                 ctx.x = &s.xs[j];
-                Stamper& st = ws.assemble(ctx);
-                st.add_gmin_everywhere(options.dc.gmin_final);
-                to_unknowns(s.xs[j], n_nodes, n_branches, s.u);
-                ws.residual(s.u, s.r);
-                try {
-                    ws.factor();
-                    ws.solve_block(s.r.data(), s.d_block.data(), 1);
-                    double dx_max = 0.0;
-                    for (int node = 1; node < n_nodes; ++node)
-                        dx_max = std::max(
-                            dx_max,
-                            std::fabs(
-                                s.d_block[static_cast<std::size_t>(node - 1)]));
-                    if (std::isfinite(dx_max) && dx_max < options.dc.vtol) {
-                        std::vector<double>& x = s.xs[j];
-                        for (int node = 1; node < n_nodes; ++node)
-                            x[static_cast<std::size_t>(node)] +=
-                                s.d_block[static_cast<std::size_t>(node - 1)];
-                        for (int br = 0; br < n_branches; ++br)
-                            x[static_cast<std::size_t>(n_nodes + br)] +=
-                                s.d_block[static_cast<std::size_t>(
-                                    n_nodes - 1 + br)];
-                        accepted = true;
-                    }
-                } catch (const NumericalError&) {
-                }
+                int verify_iterations = 0;
+                accepted = newton_dc(ws, ctx, kDcGmin, 1, s.xs[j], s.newton,
+                                     n_node_rows, verify_iterations);
             }
             if (!accepted) {
                 program_point(base + j);
-                const DcResult dc =
-                    solve_dc(circuit, options.dc, &s.xs[j]);
+                const DcResult dc = solve_dc(circuit, options, &s.xs[j]);
                 s.xs[j] = dc.x;
             }
             on_point(base + j, s.xs[j]);

@@ -590,12 +590,11 @@ void LinearBatch::stamp(SparseMatrix& matrix, std::vector<double>& rhs,
         if (s[2] >= 0) vals[s[2]] -= 1.0;
         if (s[3] >= 0) vals[s[3]] -= 1.0;
         rhs[static_cast<std::size_t>(v_rhs_[i])] +=
-            ctx.source_scale * v_dev_[i]->spec().value(ctx.time);
+            v_dev_[i]->spec().value(ctx.time);
     }
 
     for (std::size_t i = 0; i < n_i_; ++i) {
-        const double cur =
-            ctx.source_scale * i_dev_[i]->spec().value(ctx.time);
+        const double cur = i_dev_[i]->spec().value(ctx.time);
         const int rp = i_rhs_[i * 2 + 0];
         const int rm = i_rhs_[i * 2 + 1];
         if (rp >= 0) rhs[static_cast<std::size_t>(rp)] -= cur;

@@ -39,8 +39,7 @@ VSource::VSource(std::string name, int p, int m, SourceSpec spec)
     : Device(std::move(name)), p_(p), m_(m), spec_(std::move(spec)) {}
 
 void VSource::stamp(Stamper& st, const SimContext& ctx) const {
-    const double v = ctx.source_scale * spec_.value(ctx.time);
-    st.add_voltage_branch(branch_base(), p_, m_, v);
+    st.add_voltage_branch(branch_base(), p_, m_, spec_.value(ctx.time));
 }
 
 void VSource::collect_breakpoints(std::vector<double>& out) const {
@@ -53,8 +52,7 @@ ISource::ISource(std::string name, int p, int m, SourceSpec spec)
     : Device(std::move(name)), p_(p), m_(m), spec_(std::move(spec)) {}
 
 void ISource::stamp(Stamper& st, const SimContext& ctx) const {
-    const double i = ctx.source_scale * spec_.value(ctx.time);
-    st.add_source_current(p_, m_, i);
+    st.add_source_current(p_, m_, spec_.value(ctx.time));
 }
 
 void ISource::collect_breakpoints(std::vector<double>& out) const {

@@ -26,8 +26,6 @@ struct SimContext {
     double time = 0.0;  // time being solved for (t_{n+1} in transient)
     double dt = 0.0;    // step size (transient only)
     Integrator integrator = Integrator::kTrapezoidal;
-    // Scale factor applied to independent sources (DC source stepping).
-    double source_scale = 1.0;
     // Transient step identity: unique per accepted base solution (x_prev,
     // state) and shared by every attempt at the step — Newton retries and
     // adaptive-dt shrinks included — plus the commit of the accepted one.

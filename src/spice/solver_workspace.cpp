@@ -53,8 +53,6 @@ SparseMatrix collect_mna_pattern(const Circuit& circuit, bool include_gmin) {
 SolverWorkspace::SolverWorkspace(const Circuit& circuit)
     : matrix_(collect_mna_pattern(circuit, /*include_gmin=*/true)),
       stamper_(circuit.node_count(), circuit.branch_total(), &matrix_) {
-    sol_.assign(stamper_.system_size(), 0.0);
-
     // Group devices for assemble(): MOSFETs into the SoA batch and linear
     // two-terminal devices into the LinearBatch, the rest onto the virtual
     // path in original order.
@@ -131,20 +129,11 @@ void SolverWorkspace::solve_block(const double* b, double* x,
     lu_.solve_block(b, x, nrhs);
 }
 
-void SolverWorkspace::residual(std::span<const double> x_unknown,
+void SolverWorkspace::residual(std::span<const double> x,
                                std::span<double> r) const {
-    matrix_.multiply(x_unknown, r);
+    matrix_.multiply(x.subspan(1), r);
     const std::vector<double>& b = stamper_.rhs();
     for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-}
-
-const std::vector<double>& SolverWorkspace::solve() {
-    const obs::DetailSpan span("spice.factor_solve");
-    static obs::Counter& solves = obs::counter("solver.ws.solves");
-    solves.add();
-    lu_.factor(matrix_);
-    lu_.solve(stamper_.rhs(), sol_);
-    return sol_;
 }
 
 }  // namespace mcsm::spice

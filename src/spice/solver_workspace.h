@@ -4,10 +4,11 @@
 // Construction discovers the MNA sparsity pattern by running one
 // pattern-collection stamp pass over the devices (DC and transient modes,
 // so companion-model entries are included), then preallocates CSR storage
-// and the sparse LU. After that, an assemble + solve cycle performs zero
-// heap allocations: devices write into fixed CSR slots through the same
-// Stamper primitives, the LU reuses its symbolic factorization, and the
-// solution lands in a preallocated buffer.
+// and the sparse LU. After that, one delta-form Newton cycle -- assemble,
+// residual, factor, solve_block -- performs zero heap allocations: devices
+// write into fixed CSR slots through the same Stamper primitives, the LU
+// reuses its symbolic factorization, and the caller owns the residual and
+// update buffers. Every DC and transient solve runs that one cycle.
 #ifndef MCSM_SPICE_SOLVER_WORKSPACE_H
 #define MCSM_SPICE_SOLVER_WORKSPACE_H
 
@@ -64,19 +65,18 @@ public:
     // inner-loop entry point; it performs no heap allocation.
     Stamper& assemble(const SimContext& ctx);
 
-    // Factors and solves the assembled system; the result stays valid until
-    // the next solve(). Throws NumericalError on singular systems.
-    const std::vector<double>& solve();
-
-    // --- blocked multi-RHS interface ------------------------------------
-    // Factors the assembled matrix without solving; throws NumericalError
-    // on singular systems.
+    // Residual r = rhs - A*x of the assembled system. `x` is a solution
+    // vector in the solvers' layout ([0] ground, node voltages, branch
+    // currents: system_size() + 1 entries); r is in unknown space (ground
+    // dropped, so unknown i is x[i + 1]).
+    void residual(std::span<const double> x, std::span<double> r) const;
+    // Factors the assembled matrix; throws NumericalError on singular
+    // systems.
     void factor();
     // Solves nrhs systems against the last factor()ed matrix. Interleaved
-    // layout (see SparseLu::solve_block); allocation-free.
+    // layout (see SparseLu::solve_block); allocation-free. A Newton
+    // iteration solves its update d = A^-1 r with nrhs = 1.
     void solve_block(const double* b, double* x, std::size_t nrhs);
-    // Residual r = rhs - A*x of the assembled system, in unknown space.
-    void residual(std::span<const double> x_unknown, std::span<double> r) const;
     // Drops the frozen LU pivot order so the next factorization re-pivots
     // from scratch (used where results must not depend on which systems a
     // reused workspace solved before).
@@ -101,7 +101,6 @@ private:
     SparseMatrix matrix_;
     Stamper stamper_;  // writes into matrix_'s CSR slots
     SparseLu lu_;
-    std::vector<double> sol_;
     // Device grouping for assemble(): MOSFETs go through the SoA batch and
     // resistors/capacitors/independent sources through the linear batch;
     // everything else (the core CSM devices) stays on the virtual path.

@@ -154,17 +154,6 @@ double time_ulp(double t) {
     return std::ldexp(std::max(std::fabs(t), 1e-30), -50);
 }
 
-// Full solution vector (ground + nodes + branches) -> unknown vector.
-void to_unknowns(const std::vector<double>& x, int n_nodes, int n_branches,
-                 std::vector<double>& u) {
-    for (int node = 1; node < n_nodes; ++node)
-        u[static_cast<std::size_t>(node - 1)] =
-            x[static_cast<std::size_t>(node)];
-    for (int br = 0; br < n_branches; ++br)
-        u[static_cast<std::size_t>(n_nodes - 1 + br)] =
-            x[static_cast<std::size_t>(n_nodes + br)];
-}
-
 // The transient engine: one delta-form Newton loop (a fresh factorization
 // every iteration, or with reuse_jacobian a frozen sparse LU refreshed on
 // integrator/dt changes, slow convergence, or failures) under one of two
@@ -185,7 +174,6 @@ public:
         dt_cap_ = std::max(opt.dt_max > 0.0 ? opt.dt_max : 32.0 * opt.dt,
                            dt_floor_);
         const auto n_u = static_cast<std::size_t>(n_nodes_ - 1 + n_branches_);
-        u_.assign(n_u, 0.0);
         r_.assign(n_u, 0.0);
         d_.assign(n_u, 0.0);
         const auto n_x = static_cast<std::size_t>(n_nodes_ + n_branches_);
@@ -436,8 +424,7 @@ private:
         for (int it = 0; it < opt_.max_newton; ++it) {
             Stamper& st = ws_.assemble(ctx);
             st.add_gmin_everywhere(opt_.gmin);
-            to_unknowns(x_new_, n_nodes_, n_branches_, u_);
-            ws_.residual(u_, r_);
+            ws_.residual(x_new_, r_);
             bool fresh = false;
             if (want_fresh) {
                 try {
@@ -560,7 +547,7 @@ private:
     double dt_floor_ = 0.0;
     double dt_cap_ = 0.0;
 
-    std::vector<double> u_, r_, d_;          // unknown-space scratch
+    std::vector<double> r_, d_;              // unknown-space scratch
     std::vector<double> x_new_, state_next_; // step candidate
     std::vector<double> x_old_;              // predictor history
     double h_prev_ = 0.0;
@@ -644,10 +631,16 @@ TranOptions fast_tran_options(double tstop, double dt) {
     // until a terminal moves 0.2 mV -- on a gate chain only the switching
     // cells re-evaluate.
     o.stale_dv = 2e-4;
+    o.dc = fast_dc_options();
+    return o;
+}
+
+DcOptions fast_dc_options() {
     // Cold-start DC either converges directly within a few dozen iterations
     // or oscillates until the iteration cap and falls back to gmin stepping;
     // don't burn the 400-iteration stage budget proving the latter.
-    o.dc.cold_probe_iterations = 50;
+    DcOptions o;
+    o.cold_probe_iterations = 50;
     return o;
 }
 
@@ -657,11 +650,7 @@ TranResult solve_tran(Circuit& circuit, const TranOptions& options) {
     circuit.prepare();
 
     // Operating point at t=0.
-    DcOptions dc = options.dc;
-    dc.time = 0.0;
-    DcResult op = solve_dc(circuit, dc);
-
-    std::vector<double> x = op.x;
+    std::vector<double> x = solve_dc(circuit, options.dc).x;
     std::vector<double> state(static_cast<std::size_t>(circuit.state_total()),
                               0.0);
 

@@ -76,8 +76,14 @@ void validate_tran_options(const TranOptions& options);
 
 // The tuned fast-path configuration shared by the characterizer, the serve
 // layer's exact queries, and the benches: LTE-adaptive stepping plus
-// Jacobian reuse on top of the caller's (tstop, dt) window.
+// Jacobian reuse on top of the caller's (tstop, dt) window, and
+// fast_dc_options() for the t=0 operating point.
 TranOptions fast_tran_options(double tstop, double dt);
+
+// The fast path's operating-point settings (a capped cold probe). The
+// explicit integrator's initial state (CsmModel::dc_state) is solved with
+// them too, so it starts where the exact path's transient does.
+DcOptions fast_dc_options();
 
 // Stepping-loop counters exposed through TranResult::stats().
 struct TranStats {

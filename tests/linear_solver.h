@@ -1,14 +1,22 @@
-#include "common/linear_solver.h"
+// Dense LU with partial pivoting: the test oracle the sparse workspace
+// (SparseLu, SolverWorkspace) is cross-checked against.
+#ifndef MCSM_TESTS_LINEAR_SOLVER_H
+#define MCSM_TESTS_LINEAR_SOLVER_H
 
 #include <cmath>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "common/dense_matrix.h"
 #include "common/error.h"
 
 namespace mcsm {
 
-std::vector<double> solve_lu_in_place(DenseMatrix& a, std::vector<double>& b,
-                                      double pivot_floor) {
+// Solves A x = b by LU with partial pivoting. Throws NumericalError when a
+// pivot falls below pivot_floor (singular system up to roundoff).
+inline std::vector<double> solve_lu(DenseMatrix a, std::vector<double> b,
+                                    double pivot_floor = 1e-30) {
     const std::size_t n = a.rows();
     require(a.cols() == n, "solve_lu: matrix must be square");
     require(b.size() == n, "solve_lu: rhs size mismatch");
@@ -54,9 +62,6 @@ std::vector<double> solve_lu_in_place(DenseMatrix& a, std::vector<double>& b,
     return x;
 }
 
-std::vector<double> solve_lu(DenseMatrix a, std::vector<double> b,
-                             double pivot_floor) {
-    return solve_lu_in_place(a, b, pivot_floor);
-}
-
 }  // namespace mcsm
+
+#endif  // MCSM_TESTS_LINEAR_SOLVER_H

@@ -3,15 +3,19 @@
 // fixed point (dc_state) reproduces the golden transistor-level DC solution
 // at every consistent input corner. This is the strongest cheap invariant a
 // CSM must satisfy: the current tables' zero set encodes the cell's static
-// behaviour.
+// behaviour. The same corners also pin dc_state (the explicit integrator's
+// starting point) to the t=0 operating point of the exact path's transient.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "cells/cell_type.h"
 #include "core/characterizer.h"
+#include "core/model_scenarios.h"
 #include "spice/dc_solver.h"
+#include "spice/tran_solver.h"
 #include "tech/tech130.h"
+#include "wave/waveform.h"
 
 namespace mcsm::core {
 namespace {
@@ -66,6 +70,9 @@ TEST_P(CellModelDc, DcStateMatchesGoldenAtEveryCorner) {
     opt.grid_points = cell.internal_nodes().size() >= 2 ? 6 : 9;
     const CsmModel model = chr.characterize(
         cc.cell, ModelKind::kMcsm, {cc.pin_a, cc.pin_b}, opt);
+    // The DC settings of the exact path's t=0 solve.
+    const spice::DcOptions exact_dc =
+        spice::fast_tran_options(1e-9, 4e-12).dc;
 
     for (const double va : {0.0, tech_.vdd}) {
         for (const double vb : {0.0, tech_.vdd}) {
@@ -76,6 +83,22 @@ TEST_P(CellModelDc, DcStateMatchesGoldenAtEveryCorner) {
                 model.dc_state(std::span<const double>(pins, 2));
             const double model_out = state.back();
             EXPECT_NEAR(model_out, golden, 0.08)
+                << cc.cell << " corner (" << va << "," << vb << ")";
+
+            // The explicit integrator starts where the exact path starts:
+            // a ModelCell transient of the same model at the same corner.
+            ModelCell exact(model,
+                            {{cc.pin_a, wave::Waveform::constant(va)},
+                             {cc.pin_b, wave::Waveform::constant(vb)}},
+                            ModelLoadSpec{5e-15});
+            const spice::DcResult op =
+                spice::solve_dc(exact.circuit(), exact_dc);
+            for (std::size_t j = 0; j < model.internal_count(); ++j)
+                EXPECT_NEAR(state[j], op.node_voltage(exact.internal_node(j)),
+                            1e-6)
+                    << cc.cell << " corner (" << va << "," << vb
+                    << ") internal " << j;
+            EXPECT_NEAR(model_out, op.node_voltage(exact.out_node()), 1e-6)
                 << cc.cell << " corner (" << va << "," << vb << ")";
         }
     }

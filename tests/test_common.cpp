@@ -1,4 +1,5 @@
-// Unit tests for src/common: numerics, dense LU, table printer.
+// Unit tests for src/common (numerics, dense matrix, table printer) and
+// the dense LU test oracle (linear_solver.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,9 +7,11 @@
 
 #include "common/dense_matrix.h"
 #include "common/error.h"
-#include "common/linear_solver.h"
 #include "common/numeric.h"
 #include "common/table_printer.h"
+
+// The dense LU oracle.
+#include "linear_solver.h"
 
 namespace mcsm {
 namespace {

@@ -315,8 +315,10 @@ TEST(DcSweep, BlockedMatchesPerPointWithFreeNodes) {
         return c;
     };
 
+    // 71 points: the sweep's 32-point blocks split them 32 + 32 + 7, so
+    // warm starts chain across block boundaries.
     std::vector<double> values;
-    for (double v = -0.1; v <= 1.31; v += 0.05) values.push_back(v);
+    for (int k = 0; k <= 70; ++k) values.push_back(-0.1 + 0.02 * k);
     const std::size_t n_points = values.size();
 
     Circuit ref = build();
@@ -332,11 +334,9 @@ TEST(DcSweep, BlockedMatchesPerPointWithFreeNodes) {
     Circuit blk = build();
     blk.prepare();
     std::vector<spice::VSource*> swept{&blk.vsource("VIN")};
-    spice::DcSweepOptions sopt;
-    sopt.block = 8;
     std::size_t seen = 0;
     spice::solve_dc_sweep(
-        blk, swept, values, n_points, sopt, nullptr,
+        blk, swept, values, n_points, {}, nullptr,
         [&](std::size_t p, const std::vector<double>& x) {
             ++seen;
             for (std::size_t i = 0; i < x.size(); ++i)

@@ -16,6 +16,7 @@
 #include "engine/scenarios.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "spice/dc_solver.h"
 #include "spice/tran_solver.h"
 #include "tech/tech130.h"
 
@@ -306,6 +307,45 @@ TEST(ObsTranStats, CountersMatchResultStats) {
     EXPECT_EQ(solves.value() - solves0, 1);
     EXPECT_EQ(iters.value() - iters0, res.stats().newton_iters);
     EXPECT_EQ(accepted.value() - accepted0, res.stats().steps_accepted);
+}
+
+// DcResult::iterations counts every Newton iteration that ran -- a failed
+// cold probe's included -- and each one assembles and factors once through
+// the workspace, so these counters move by exactly that much.
+TEST(ObsDcStats, CountersMatchResultIterations) {
+    SKIP_IF_OBS_OFF();
+    obs::Counter& assembles = obs::counter("solver.ws.assembles");
+    obs::Counter& factors = obs::counter("solver.ws.factors");
+    obs::Counter& iters = obs::counter("solver.dc.newton_iters");
+    const tech::Technology t = tech::make_tech130();
+    spice::Circuit c;
+    const int vdd = c.node("vdd");
+    const int in = c.node("in");
+    const int out = c.node("out");
+    c.add_vsource("VDD", vdd, spice::Circuit::kGround,
+                  spice::SourceSpec::dc(t.vdd));
+    c.add_vsource("VIN", in, spice::Circuit::kGround,
+                  spice::SourceSpec::dc(0.6));
+    c.add_mosfet("MN", out, in, spice::Circuit::kGround,
+                 spice::Circuit::kGround, t.nmos, t.wn_unit, t.lmin);
+    c.add_mosfet("MP", out, in, vdd, vdd, t.pmos, t.wp_unit, t.lmin);
+
+    // A direct solve, then one whose one-iteration cold probe fails and
+    // hands over to gmin stepping.
+    for (const int probe : {0, 1}) {
+        spice::DcOptions opt;
+        opt.cold_probe_iterations = probe;
+        const long long assembles0 = assembles.value();
+        const long long factors0 = factors.value();
+        const long long iters0 = iters.value();
+        const spice::DcResult r = spice::solve_dc(c, opt);
+        EXPECT_GT(r.iterations, 1) << "probe " << probe;
+        EXPECT_EQ(assembles.value() - assembles0, r.iterations)
+            << "probe " << probe;
+        EXPECT_EQ(factors.value() - factors0, r.iterations)
+            << "probe " << probe;
+        EXPECT_EQ(iters.value() - iters0, r.iterations) << "probe " << probe;
+    }
 }
 
 }  // namespace

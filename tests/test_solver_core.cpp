@@ -18,7 +18,6 @@
 
 #include "cells/library.h"
 #include "common/alloc_counter.h"
-#include "common/linear_solver.h"
 #include "common/parallel.h"
 #include "common/sparse_lu.h"
 #include "common/sparse_matrix.h"
@@ -28,6 +27,9 @@
 #include "spice/tran_solver.h"
 #include "tech/tech130.h"
 #include "wave/edges.h"
+
+// The dense LU oracle.
+#include "linear_solver.h"
 
 // Global allocation instrumentation: every operator new in this binary
 // bumps the counter declared in common/alloc_counter.h. The zero-alloc
@@ -109,8 +111,8 @@ TEST(SparseLu, MatchesDenseOnRandomSystems) {
 
         SparseLu lu;
         lu.factor(s.a);
-        std::vector<double> x_sparse;
-        lu.solve(s.b, x_sparse);
+        std::vector<double> x_sparse(n);
+        lu.solve_block(s.b.data(), x_sparse.data(), 1);
 
         const std::vector<double> x_dense = solve_lu(s.dense, s.b);
         ASSERT_EQ(x_sparse.size(), x_dense.size());
@@ -143,8 +145,8 @@ TEST(SparseLu, RefactorReusesSymbolicAnalysis) {
             }
         }
         lu.factor(s.a);
-        std::vector<double> x_sparse;
-        lu.solve(s.b, x_sparse);
+        std::vector<double> x_sparse(s.a.size());
+        lu.solve_block(s.b.data(), x_sparse.data(), 1);
         const std::vector<double> x_dense = solve_lu(s.dense, s.b);
         for (std::size_t i = 0; i < s.a.size(); ++i)
             EXPECT_NEAR(x_sparse[i], x_dense[i],
@@ -163,8 +165,9 @@ TEST(SparseLu, PivotsZeroDiagonal) {
     a.add(1, 0, 1.0);
     SparseLu lu;
     lu.factor(a);
-    std::vector<double> x;
-    lu.solve({2.0, 3.0}, x);
+    const double b[2] = {2.0, 3.0};
+    double x[2];
+    lu.solve_block(b, x, 1);
     EXPECT_NEAR(x[0], 3.0, 1e-12);
     EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -247,7 +250,7 @@ std::vector<double> dense_reference_at(Circuit& c,
     ctx.x = &x;
     spice::Stamper& st = ws.begin_assembly();
     for (const auto& dev : c.devices()) dev->stamp(st, ctx);
-    st.add_gmin_everywhere(spice::DcOptions{}.gmin_final);
+    st.add_gmin_everywhere(spice::kDcGmin);
 
     const SparseMatrix& a = ws.csr_matrix();
     DenseMatrix dense(a.size(), a.size());
@@ -411,19 +414,26 @@ TEST(SolverWorkspace, NewtonCycleIsAllocationFreeAfterPrepare) {
     tran_ctx.state = &state;
     tran_ctx.step_id = 1;
 
-    // Both assembly flavors: the batched evaluate-and-stamp entry point the
-    // solvers use (SoA MOSFET pass + virtual remainder) and the legacy
-    // manual device loop.
-    auto cycle = [&](const spice::SimContext& ctx) {
-        spice::Stamper& st = ws.assemble(ctx);
+    // The solvers' delta-form Newton cycle (gmin, residual, factor, one
+    // solve) after both assembly flavors: the batched evaluate-and-stamp
+    // entry point the solvers use (SoA MOSFET pass + virtual remainder) and
+    // the legacy manual device loop.
+    const std::size_t n_u = ws.system_size();
+    std::vector<double> r(n_u, 0.0);
+    std::vector<double> d(n_u, 0.0);
+    auto newton = [&](spice::Stamper& st) {
         st.add_gmin_everywhere(1e-12);
-        (void)ws.solve();
+        ws.residual(x, r);
+        ws.factor();
+        ws.solve_block(r.data(), d.data(), 1);
+    };
+    auto cycle = [&](const spice::SimContext& ctx) {
+        newton(ws.assemble(ctx));
     };
     auto cycle_manual = [&](const spice::SimContext& ctx) {
         spice::Stamper& st = ws.begin_assembly();
         for (const auto& dev : c.devices()) dev->stamp(st, ctx);
-        st.add_gmin_everywhere(1e-12);
-        (void)ws.solve();
+        newton(st);
     };
     cycle(dc_ctx);   // warm the solve buffers
     cycle(tran_ctx); // and the transient companion caches
@@ -431,12 +441,9 @@ TEST(SolverWorkspace, NewtonCycleIsAllocationFreeAfterPrepare) {
 
     // Blocked multi-RHS solves on the frozen factorization, preallocated
     // like the DC sweep solver's round buffers.
-    const std::size_t n_u = ws.system_size();
     constexpr std::size_t kRhs = 8;
     std::vector<double> b_block(n_u * kRhs);
     std::vector<double> x_block(n_u * kRhs);
-    std::vector<double> u(n_u, 0.0);
-    std::vector<double> r(n_u, 0.0);
     for (std::size_t i = 0; i < b_block.size(); ++i)
         b_block[i] = 1e-6 * static_cast<double>(i % 17);
     ws.factor();
@@ -448,7 +455,6 @@ TEST(SolverWorkspace, NewtonCycleIsAllocationFreeAfterPrepare) {
         tran_ctx.step_id = 2 + it;  // force cap-cache refreshes too
         cycle(tran_ctx);
         cycle_manual(dc_ctx);
-        ws.residual(u, r);
         ws.factor();
         ws.solve_block(b_block.data(), x_block.data(), kRhs);
     }

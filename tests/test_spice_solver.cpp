@@ -61,6 +61,21 @@ TEST(DcSolver, SolveRejectsBadInitialSize) {
     EXPECT_THROW(solve_dc(c, {}, &wrong), ModelError);
 }
 
+TEST(DcSolver, SweepRejectsBadInitialSize) {
+    // Same contract as solve_dc: a seed of the wrong layout is an error,
+    // not a silent cold start.
+    Circuit c;
+    const int in = c.node("in");
+    c.add_vsource("V1", in, Circuit::kGround, SourceSpec::dc(1.0));
+    c.add_resistor("R1", in, Circuit::kGround, 1e3);
+    std::vector<double> wrong(1, 0.0);
+    const std::vector<VSource*> swept{&c.vsource("V1")};
+    const std::vector<double> values{0.5, 1.0};
+    EXPECT_THROW(solve_dc_sweep(c, swept, values, values.size(), {}, &wrong,
+                                [](std::size_t, const std::vector<double>&) {}),
+                 ModelError);
+}
+
 TEST(TranSolver, BreakpointsSuppressTrapezoidalRinging) {
     // A pure capacitor across a ramped source: without breakpoint handling,
     // trapezoidal integration rings at the ramp corners (alternating branch

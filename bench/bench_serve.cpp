@@ -7,8 +7,8 @@
 // lives in test_serve_golden) and the socket front end (4 concurrent
 // pipelined clients through net::NetServer; gated at >= 50% of the
 // in-process warm LUT rate -- the median ratio of three interleaved
-// in-process/socket pairs -- with a bitwise-identity check against the
-// same batch run in process).
+// in-process/socket pairs, each side timed over a fixed >= 150 ms window
+// -- with a bitwise-identity check against the same batch run in process).
 // Results are written as machine-readable BENCH_serve.json ({"threads",
 // "model_store": {...}, "timing_service": {...}, "mis3": {...},
 // "pi_load": {...}, "net": {...}}) for CI trend tracking, next to
@@ -47,6 +47,24 @@ double wall_ms(const std::function<void()>& fn) {
     fn();
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+// Repeats `pass` until a fixed >= 150 ms window is filled and returns the
+// mean ms per pass: long enough to span many scheduler time slices, so an
+// A/B ratio of two such samples is not decided by one of them.
+double window_ms_per_pass(const std::function<void()>& pass) {
+    constexpr double kWindowMs = 150.0;
+    int passes = 0;
+    double elapsed = 0.0;
+    const auto t0 = std::chrono::steady_clock::now();
+    while (elapsed < kWindowMs) {
+        pass();
+        ++passes;
+        elapsed = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    }
+    return elapsed / passes;
 }
 
 double best_of(int reps, const std::function<void()>& fn) {
@@ -360,9 +378,11 @@ int main() {
         // back-to-back with a socket run, is the fair throughput baseline
         // (warm_qps was measured minutes earlier in this process; clock
         // throttling between sections would skew a cross-section ratio
-        // both ways). Three interleaved reference/socket pairs, gated on
-        // the median per-pair ratio, keep one descheduled run (parallel
-        // ctest, a noisy neighbour) from deciding the gate.
+        // both ways). Each side of a pair repeats its pass over a fixed
+        // >= 150 ms window (one pass is ~20-40 ms), and three interleaved
+        // reference/socket pairs, gated on the median per-pair ratio, keep
+        // one descheduled run (parallel ctest, a noisy neighbour) from
+        // deciding the gate. The bitwise check reads the last socket pass.
         std::vector<serve::TimingResult> ref_results;
         std::vector<std::string> received(net_clients);
         struct Pair {
@@ -371,10 +391,10 @@ int main() {
         };
         std::vector<Pair> pairs;
         for (int pair = 0; pair < 3; ++pair) {
-            const double ref_ms =
-                wall_ms([&] { ref_results = service.run_batch(net_ref); });
-            for (std::string& sink : received) sink.clear();
-            const double net_ms = wall_ms([&] {
+            const double ref_ms = window_ms_per_pass(
+                [&] { ref_results = service.run_batch(net_ref); });
+            const double net_ms = window_ms_per_pass([&] {
+                for (std::string& sink : received) sink.clear();
                 std::vector<std::thread> clients;
                 for (std::size_t c = 0; c < net_clients; ++c) {
                     clients.emplace_back([&, c] {

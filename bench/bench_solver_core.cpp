@@ -234,7 +234,7 @@ int main() {
     // parallel ctest run -- hits both equally rather than biasing one
     // block), each side takes its min-of-5, and a noisy verdict gets two
     // remeasurements before it may fail the gate.
-    if (obs::compiled_in()) {
+    {
         auto cycle_us = [&](bool enabled) {
             obs::set_enabled(enabled);
             return bench::time_newton_cycle_us(ctx.lib(), 48);
@@ -261,9 +261,6 @@ int main() {
         check.check(ok,
                     "metrics overhead < 2% on the newton cycle (measured " +
                         std::to_string(100.0 * overhead) + "%)");
-    } else {
-        std::printf("\nobs overhead newton_cycle_48: skipped "
-                    "(MCSM_OBS=OFF, hooks compiled out)\n");
     }
 
     return check.exit_code();

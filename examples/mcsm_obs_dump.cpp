@@ -9,9 +9,10 @@
 //                                  also capture a Chrome trace-event JSON
 //                                  of the workload (load in Perfetto)
 //
-// Long-running tools surface the same data differently: timing_server
-// --stats prints this snapshot at exit, MCSM_OBS_JSON writes it as JSON,
-// and MCSM_TRACE captures a trace without any code changes.
+// Long-running tools surface the same data differently: timing_serverd
+// answers a "stats" protocol line with it, and in any binary MCSM_OBS_JSON
+// writes it as JSON at exit and MCSM_TRACE captures a trace, without any
+// code changes.
 #include <cstdio>
 #include <string>
 
@@ -39,11 +40,6 @@ int main(int argc, char** argv) {
             return arg == "--help" ? 0 : 1;
         }
     }
-
-    if (!obs::compiled_in())
-        std::fprintf(stderr,
-                     "# built with MCSM_OBS=OFF: hooks are compiled out, "
-                     "the snapshot below is empty\n");
 
     if (!trace_path.empty()) {
         obs::TraceOptions topt;

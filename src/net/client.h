@@ -1,5 +1,6 @@
-// Minimal blocking line-protocol client for NetServer: used by the CLI's
-// --client mode, the socket integration tests and bench_net. Handles
+// Minimal blocking line-protocol client for NetServer: used by
+// timing_serverd's stdin and --client modes, the socket integration tests
+// and the benches. Handles
 // connect (unix / TCP loopback), buffered line reads and SIGPIPE-free
 // sends; callers speak the net/query_text grammar through it.
 #ifndef MCSM_NET_CLIENT_H

@@ -54,22 +54,21 @@ std::size_t csv_count(std::string_view csv) {
     return n;
 }
 
-std::vector<double> parse_ps_list(std::string_view csv,
-                                  std::string_view line) {
-    std::vector<double> out;
+// The list parsers refill `out` in place, keeping its capacity.
+void parse_ps_list(std::string_view csv, std::string_view line,
+                   std::vector<double>& out) {
+    out.clear();
     out.reserve(csv_count(csv));
     split_csv(csv, [&](std::string_view item) {
         out.push_back(parse_number(item, line) * 1e-12);
     });
-    return out;
 }
 
-std::vector<std::string> parse_name_list(std::string_view csv) {
-    std::vector<std::string> out;
+void parse_name_list(std::string_view csv, std::vector<std::string>& out) {
+    out.clear();
     out.reserve(csv_count(csv));
     split_csv(csv,
               [&](std::string_view item) { out.emplace_back(item); });
-    return out;
 }
 
 // Shortest-round-trip rendering (std::to_chars default): the fewest
@@ -102,12 +101,22 @@ bool parse_query_line(std::string_view line, serve::TimingQuery& q) {
     if (dir != "rise" && dir != "fall") [[unlikely]]
         throw ModelError("edge direction must be rise|fall: " +
                          std::string(line));
+    // Reset every field, but keep q's buffers: parsing a stream into the
+    // same query objects then allocates nothing.
+    std::string cell_buf = std::move(q.cell);
+    std::vector<std::string> pin_buf = std::move(q.pins);
+    std::vector<double> slew_buf = std::move(q.slews);
+    std::vector<double> skew_buf = std::move(q.skews);
     q = serve::TimingQuery{};
-    q.cell = cell;
-    q.pins = parse_name_list(pins);
+    cell_buf.assign(cell);
+    q.cell = std::move(cell_buf);
+    parse_name_list(pins, pin_buf);
+    q.pins = std::move(pin_buf);
     q.inputs_rise = dir == "rise";
-    q.slews = parse_ps_list(slews, line);
-    q.skews = parse_ps_list(skews, line);
+    parse_ps_list(slews, line, slew_buf);
+    q.slews = std::move(slew_buf);
+    parse_ps_list(skews, line, skew_buf);
+    q.skews = std::move(skew_buf);
     // A lone "0" means simultaneous switching for any pin count (the
     // service wants either an empty list or one skew per pin).
     if (q.skews.size() == 1 && q.skews[0] == 0.0 && q.pins.size() > 1)

@@ -1,7 +1,7 @@
-// Text codec of the timing-query wire protocol, shared by the stdin CLI
-// (examples/timing_server), the socket server (net/server) and its
-// clients: ONE grammar, ONE parser, so a query file pipes unchanged into a
-// socket and a socket client can replay a CLI batch.
+// Text codec of the timing-query wire protocol, shared by the socket
+// server (net/server), its clients and the benches: ONE grammar, ONE
+// parser, so a query file pipes unchanged into timing_serverd (stdin or
+// socket) and a client can replay an in-process batch.
 //
 // Query line (whitespace-separated; '#' starts a comment):
 //   <cell> <pins> <rise|fall> <slews_ps> <skews_ps> <load_fF> [option...]
@@ -17,8 +17,8 @@
 //   err <id> <message...>
 // Doubles are rendered with std::to_chars shortest-round-trip form, so
 // parsing a result line recovers the exact bits run_batch produced.
-// <id> is an opaque caller token (the batch index for the CLI, the
-// per-connection sequence number for the socket server).
+// <id> is an opaque caller token (the per-connection sequence number for
+// the socket server).
 #ifndef MCSM_NET_QUERY_TEXT_H
 #define MCSM_NET_QUERY_TEXT_H
 
@@ -32,6 +32,8 @@ namespace mcsm::net {
 
 // Parses one query line into `q`. Returns false for blank/comment lines;
 // throws ModelError on malformed ones (report per line, keep the stream).
+// Every field of `q` is overwritten, but its buffers are reused, so a
+// caller that parses a stream into recycled queries does not allocate.
 bool parse_query_line(std::string_view line, serve::TimingQuery& q);
 
 // Renders `q` as one protocol query line (no trailing newline). The

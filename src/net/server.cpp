@@ -144,17 +144,6 @@ void NetServer::stop() {
         ::write(wake_fd_, &one, sizeof one);
 }
 
-NetServer::Counters NetServer::counters() const {
-    Counters c;
-    c.accepted = accepted_.load(std::memory_order_relaxed);
-    c.refused = refused_.load(std::memory_order_relaxed);
-    c.served = served_.load(std::memory_order_relaxed);
-    c.batches = batches_.load(std::memory_order_relaxed);
-    c.rejected = rejected_.load(std::memory_order_relaxed);
-    c.parse_errors = parse_errors_.load(std::memory_order_relaxed);
-    return c;
-}
-
 void NetServer::update_epoll(const std::shared_ptr<Conn>& conn,
                              bool want_write) {
     if (conn->fd < 0 || conn->want_write == want_write) return;
@@ -225,7 +214,7 @@ void NetServer::accept_ready(int listen_fd) {
             return;  // EAGAIN or transient accept error: back to the loop
         }
         if (conns_.size() >= options_.max_conns) {
-            refused_.fetch_add(1, std::memory_order_relaxed);
+            obs::counter("net.refused").add();
             const char msg[] = "err 0 busy: connection limit reached\n";
             [[maybe_unused]] const ssize_t n =
                 ::send(fd, msg, sizeof msg - 1, MSG_NOSIGNAL);
@@ -247,7 +236,6 @@ void NetServer::accept_ready(int listen_fd) {
             continue;
         }
         conns_.push_back(std::move(conn));
-        accepted_.fetch_add(1, std::memory_order_relaxed);
         obs::counter("net.accepted").add();
     }
 }
@@ -284,22 +272,18 @@ void NetServer::handle_line(const std::shared_ptr<Conn>& conn,
     // client can correlate responses even across errors.
     const std::uint64_t id = ++conn->seq;
     if (pending_.size() >= options_.max_pending) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
         obs::counter("net.rejected").add();
         respond(conn, "err " + std::to_string(id) +
                           " busy: server at max_pending, retry later");
         return;
     }
-    Pending p;
-    p.conn = conn;
-    p.seq = id;
+    if (queries_.size() == pending_.size()) queries_.emplace_back();
     try {
-        if (!parse_query_line(line, p.query)) {
+        if (!parse_query_line(line, queries_[pending_.size()])) {
             --conn->seq;  // blank/comment: no response, no id consumed
             return;
         }
     } catch (const std::exception& e) {
-        parse_errors_.fetch_add(1, std::memory_order_relaxed);
         obs::counter("net.parse_errors").add();
         respond(conn,
                 "err " + std::to_string(id) + " " + std::string(e.what()));
@@ -309,7 +293,7 @@ void NetServer::handle_line(const std::shared_ptr<Conn>& conn,
         batch_deadline_ = std::chrono::steady_clock::now() +
                           std::chrono::microseconds(options_.linger_us);
     ++conn->queued;
-    pending_.push_back(std::move(p));
+    pending_.push_back({conn, id});
     if (pending_.size() >= options_.batch_max) run_pending_batch();
 }
 
@@ -319,10 +303,8 @@ void NetServer::run_pending_batch() {
     if (pending_.empty()) return;
     std::vector<Pending> batch;
     batch.swap(pending_);
-    std::vector<serve::TimingQuery> queries;
-    queries.reserve(batch.size());
-    for (Pending& p : batch) queries.push_back(std::move(p.query));
-    batches_.fetch_add(1, std::memory_order_relaxed);
+    const std::span<const serve::TimingQuery> queries(queries_.data(),
+                                                      batch.size());
     obs::counter("net.batches").add();
     obs::histogram("net.batch_size")
         .observe(static_cast<double>(queries.size()));
@@ -335,7 +317,6 @@ void NetServer::run_pending_batch() {
         append_result_line(conn.out, batch[i].seq, results[i]);
         conn.out += '\n';
     }
-    served_.fetch_add(results.size(), std::memory_order_relaxed);
     obs::counter("net.served").add(static_cast<long long>(results.size()));
     // ONE flush per connection for the whole batch (responses were only
     // appended above); this also closes half-closed peers whose last
@@ -356,6 +337,17 @@ void NetServer::conn_readable(const std::shared_ptr<Conn>& conn) {
             std::size_t start = 0;
             for (;;) {
                 const std::size_t nl = conn->in.find('\n', start);
+                // The cap holds for every line, terminated or not, so the
+                // outcome never depends on how the kernel split the bytes.
+                // Past it the framing cannot be trusted and there is no way
+                // to resync: tell the peer and hang up.
+                const std::size_t end =
+                    nl == std::string::npos ? conn->in.size() : nl;
+                if (end - start > options_.max_line) {
+                    respond(conn, "err 0 line too long");
+                    close_conn(conn);
+                    return;
+                }
                 if (nl == std::string::npos) break;
                 std::string_view line(conn->in.data() + start, nl - start);
                 if (!line.empty() && line.back() == '\r')
@@ -365,14 +357,6 @@ void NetServer::conn_readable(const std::shared_ptr<Conn>& conn) {
                 if (conn->fd < 0) return;
             }
             conn->in.erase(0, start);
-            if (conn->in.size() > options_.max_line) {
-                // No newline within the cap: the framing is broken and
-                // there is no way to resync. Tell the peer and hang up.
-                respond(conn, "err 0 line too long");
-                conn->eof = true;
-                if (conn->fd >= 0 && conn->drained()) close_conn(conn);
-                return;
-            }
             continue;
         }
         if (n == 0) {

@@ -31,6 +31,11 @@
 // unboundedly -- the client sees the overload instead of a growing tail
 // latency.
 //
+// Accounting lives in obs, like every other layer's: net.accepted,
+// net.refused (over max_conns), net.served, net.batches, net.rejected
+// (admission), net.parse_errors, net.reloads and the net.batch_size
+// histogram. The "stats" line returns them with the rest of the registry.
+//
 // Shutdown: stop() is async-signal-safe (one eventfd write), so SIGTERM/
 // SIGINT handlers can call it directly; the loop then executes the still-
 // pending batch, flushes every connection's responses best-effort and
@@ -66,8 +71,9 @@ struct NetServerOptions {
     long linger_us = 200;
     // Admission: pending-query cap; excess queries get "err <id> busy".
     std::size_t max_pending = 1 << 16;
-    // Longest accepted request line; a connection exceeding it is closed
-    // (no way to resync a line protocol mid-line).
+    // Longest accepted request line, terminated or not. A connection that
+    // sends a longer one gets "err 0 line too long" and is closed (no way
+    // to resync a line protocol mid-line).
     std::size_t max_line = 4096;
     // Connection cap; excess accepts are refused with an error line.
     std::size_t max_conns = 64;
@@ -100,22 +106,11 @@ public:
     // any thread and from SIGTERM/SIGINT handlers.
     void stop();
 
-    struct Counters {
-        std::uint64_t accepted = 0;     // connections accepted
-        std::uint64_t refused = 0;      // connections over max_conns
-        std::uint64_t served = 0;       // query responses written
-        std::uint64_t batches = 0;      // run_batch executions
-        std::uint64_t rejected = 0;     // queries refused by admission
-        std::uint64_t parse_errors = 0; // malformed query lines
-    };
-    Counters counters() const;
-
 private:
     struct Conn;
     struct Pending {
         std::shared_ptr<Conn> conn;
         std::uint64_t seq = 0;
-        serve::TimingQuery query;
     };
 
     void accept_ready(int listen_fd);
@@ -148,15 +143,12 @@ private:
     // Loop-thread state (never touched concurrently).
     std::vector<std::shared_ptr<Conn>> conns_;
     std::vector<Pending> pending_;
+    // Parsed queries: slot i belongs to pending_[i]. Slots past
+    // pending_.size() keep their buffers, so a steady stream of queries
+    // parses without allocating (at most batch_max slots).
+    std::vector<serve::TimingQuery> queries_;
     std::chrono::steady_clock::time_point batch_deadline_{};
     std::chrono::steady_clock::time_point next_reload_{};
-
-    std::atomic<std::uint64_t> accepted_{0};
-    std::atomic<std::uint64_t> refused_{0};
-    std::atomic<std::uint64_t> served_{0};
-    std::atomic<std::uint64_t> batches_{0};
-    std::atomic<std::uint64_t> rejected_{0};
-    std::atomic<std::uint64_t> parse_errors_{0};
 };
 
 }  // namespace mcsm::net

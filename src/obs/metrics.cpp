@@ -1,12 +1,10 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
-
-#ifndef MCSM_OBS_OFF
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -289,53 +287,30 @@ std::string Snapshot::format_human() const {
   return out;
 }
 
-bool write_snapshot_json(const std::string& path) {
-  std::string json = snapshot().to_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = (std::fclose(f) == 0) && ok;
-  return ok;
-}
+namespace {
+
+// MCSM_OBS_JSON=<path>: read once at start-up, the snapshot is written at
+// exit -- the same zero-code export as MCSM_TRACE (obs/trace.cpp).
+struct EnvSnapshot {
+  EnvSnapshot() {
+    const char* path = std::getenv("MCSM_OBS_JSON");
+    if (path == nullptr || path[0] == '\0') return;
+    static const std::string target = path;
+    std::atexit([] {
+      const std::string json = snapshot().to_json();
+      std::FILE* f = std::fopen(target.c_str(), "w");
+      bool ok = f != nullptr &&
+                std::fwrite(json.data(), 1, json.size(), f) == json.size();
+      ok = f != nullptr && std::fclose(f) == 0 && ok;
+      if (!ok)
+        std::fprintf(stderr, "obs: cannot write MCSM_OBS_JSON=%s\n",
+                     target.c_str());
+    });
+  }
+};
+
+EnvSnapshot g_env_snapshot;
+
+}  // namespace
 
 }  // namespace mcsm::obs
-
-#else  // MCSM_OBS_OFF: keep the out-of-line symbols the stub API still needs.
-
-namespace mcsm::obs {
-
-Counter& counter(const std::string&) {
-  static Counter c;
-  return c;
-}
-
-Gauge& gauge(const std::string&) {
-  static Gauge g;
-  return g;
-}
-
-Histogram& histogram(const std::string&) {
-  static Histogram h;
-  return h;
-}
-
-std::string Snapshot::to_json() const {
-  return "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}\n";
-}
-
-std::string Snapshot::format_human() const {
-  return "(observability compiled out: MCSM_OBS=OFF)\n";
-}
-
-bool write_snapshot_json(const std::string& path) {
-  std::string json = Snapshot{}.to_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = (std::fclose(f) == 0) && ok;
-  return ok;
-}
-
-}  // namespace mcsm::obs
-
-#endif  // MCSM_OBS_OFF

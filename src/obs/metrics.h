@@ -10,8 +10,9 @@
 //      during static destruction (the registry is intentionally leaked).
 //   2. Snapshotting is always safe concurrently with updates: readers use
 //      relaxed loads and may observe a value mid-batch, never a torn one.
-//   3. With -DMCSM_OBS=OFF the whole API compiles to empty inline stubs so
-//      instrumented call sites cost literally nothing (see the #else block).
+//   3. One build: the hooks are always compiled in. Their cost on the
+//      Newton cycle is gated at < 2% in bench_solver_core, and `stats`, the
+//      benches and MCSM_OBS_JSON all read this one registry.
 //   4. Instrumentation never changes numeric results: the subsystem only
 //      observes, and `set_enabled(false)` turns every update into a single
 //      relaxed load + branch for overhead A/B measurements.
@@ -19,14 +20,14 @@
 // Usage at a call site (the reference is resolved once, then reused):
 //   static obs::Counter& hits = obs::counter("serve.surface.hit");
 //   hits.add();
+//
+// Export: MCSM_OBS_JSON=<path> writes snapshot().to_json() to <path> at
+// process exit, from any binary linked against the library.
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef MCSM_OBS_OFF
-
-#include <atomic>
 
 namespace mcsm::obs {
 
@@ -210,90 +211,5 @@ Snapshot snapshot();
 // Zeroes every registered instrument (tests / per-batch deltas).
 void reset_all();
 
-// Writes snapshot().to_json() to `path`; returns false on I/O failure.
-bool write_snapshot_json(const std::string& path);
-
 }  // namespace mcsm::obs
 
-#else  // MCSM_OBS_OFF: every hook below must optimize to nothing.
-
-namespace mcsm::obs {
-
-constexpr bool compiled_in() { return false; }
-
-inline void set_enabled(bool) {}
-inline bool enabled() { return false; }
-inline std::uint64_t now_ns() { return 0; }
-
-class Counter {
- public:
-  void add(long long = 1) {}
-  long long value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(long long) {}
-  void add(long long) {}
-  long long value() const { return 0; }
-  void reset() {}
-};
-
-struct HistogramStats {
-  long long count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-class Histogram {
- public:
-  static constexpr int kBuckets = 1;
-  void observe(double) {}
-  static int bucket_index(double) { return 0; }
-  static double bucket_lower_bound(int) { return 0.0; }
-  HistogramStats stats() const { return {}; }
-  void reset() {}
-};
-
-Counter& counter(const std::string& name);
-Gauge& gauge(const std::string& name);
-Histogram& histogram(const std::string& name);
-
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram&) {}
-};
-
-struct Snapshot {
-  struct CounterEntry {
-    std::string name;
-    long long value = 0;
-  };
-  struct GaugeEntry {
-    std::string name;
-    long long value = 0;
-  };
-  struct HistogramEntry {
-    std::string name;
-    HistogramStats stats;
-  };
-  std::vector<CounterEntry> counters;
-  std::vector<GaugeEntry> gauges;
-  std::vector<HistogramEntry> histograms;
-
-  std::string to_json() const;
-  std::string format_human() const;
-};
-
-inline Snapshot snapshot() { return {}; }
-inline void reset_all() {}
-bool write_snapshot_json(const std::string& path);
-
-}  // namespace mcsm::obs
-
-#endif  // MCSM_OBS_OFF

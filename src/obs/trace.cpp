@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#ifndef MCSM_OBS_OFF
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -212,5 +210,3 @@ bool stop_trace() {
 }
 
 }  // namespace mcsm::obs
-
-#endif  // MCSM_OBS_OFF

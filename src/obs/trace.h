@@ -22,14 +22,11 @@
 // Like the metrics registry, trace state is process-lifetime and leaked so
 // spans fired from pool workers during shutdown stay safe.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-
-#ifndef MCSM_OBS_OFF
-
-#include <atomic>
 
 namespace mcsm::obs {
 
@@ -118,32 +115,3 @@ class DetailSpan {
 
 }  // namespace mcsm::obs
 
-#else  // MCSM_OBS_OFF
-
-namespace mcsm::obs {
-
-struct TraceOptions {
-  std::string path = "mcsm_trace.json";
-  std::size_t ring_events = 0;
-  bool detail = false;
-};
-
-inline void start_trace(const TraceOptions&) {}
-inline bool stop_trace() { return false; }
-inline bool trace_active() { return false; }
-inline bool trace_detail_active() { return false; }
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  Span(const char*, std::string_view) {}
-};
-
-class DetailSpan {
- public:
-  explicit DetailSpan(const char*) {}
-};
-
-}  // namespace mcsm::obs
-
-#endif  // MCSM_OBS_OFF

@@ -4,7 +4,8 @@
 // the mmap zero-parse pack (bit-exact round trip, corruption rejection,
 // hot reload + generation retirement) and the socket server (concurrent
 // pipelined clients bitwise-identical to in-process batches, control
-// lines, admission, client-disconnect resilience).
+// lines, admission, the line-length and connection caps, client-disconnect
+// resilience).
 #include <gtest/gtest.h>
 
 #include <clocale>
@@ -31,6 +32,7 @@
 #include "net/client.h"
 #include "net/query_text.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "serve/mapped_store.h"
 #include "serve/model_store.h"
 #include "serve/repository.h"
@@ -127,6 +129,10 @@ TimingQuery mixed_query(std::size_t i) {
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The socket tier counts in the process-wide obs registry, so tests assert
+// deltas: the value moved since `before`, whatever earlier tests recorded.
+long long net_count(const char* name) { return obs::counter(name).value(); }
 
 // --- wire codec ---------------------------------------------------------
 
@@ -708,6 +714,9 @@ TEST(NetServer, ConcurrentClientsGetBitwiseIdenticalOrderedResults) {
         }
     }
     const std::vector<TimingResult> want = fx.service.run_batch(ref);
+    const long long served0 = net_count("net.served");
+    const long long parse_errors0 = net_count("net.parse_errors");
+    const long long batches0 = net_count("net.batches");
 
     std::vector<std::vector<std::string>> responses(kClients);
     std::vector<std::thread> clients;
@@ -742,10 +751,10 @@ TEST(NetServer, ConcurrentClientsGetBitwiseIdenticalOrderedResults) {
             EXPECT_EQ(got.path, expect.path);
         }
     }
-    const NetServer::Counters counters = fx.server->counters();
-    EXPECT_EQ(counters.served, kClients * kPerClient);
-    EXPECT_EQ(counters.parse_errors, 0u);
-    EXPECT_GE(counters.batches, 1u);
+    EXPECT_EQ(net_count("net.served") - served0,
+              static_cast<long long>(kClients * kPerClient));
+    EXPECT_EQ(net_count("net.parse_errors") - parse_errors0, 0);
+    EXPECT_GE(net_count("net.batches") - batches0, 1);
 }
 
 TEST(NetServer, ControlLinesAndPerLineErrors) {
@@ -794,6 +803,7 @@ TEST(NetServer, AdmissionRejectsBeyondMaxPending) {
     opts.linger_us = 1000000;  // only "flush" executes the batch
     ServerFixture fx(dir, opts);
     LineClient cli = LineClient::connect_unix(fx.nopt.unix_path);
+    const long long rejected0 = net_count("net.rejected");
 
     const std::string q = format_query_line(mixed_query(1));
     cli.send_text(q + "\n" + q + "\n" + q + "\nflush\n");
@@ -810,7 +820,41 @@ TEST(NetServer, AdmissionRejectsBeyondMaxPending) {
     const TimingResult r1 = parse_result_line(cli.recv_line(), id);
     EXPECT_EQ(id, 1u);
     EXPECT_TRUE(r1.valid) << r1.error;
-    EXPECT_EQ(fx.server->counters().rejected, 2u);
+    EXPECT_EQ(net_count("net.rejected") - rejected0, 2);
+}
+
+TEST(NetServer, OverLongLineClosesTheConnection) {
+    // The cap holds for a whole line that arrives in one read, not only for
+    // an unterminated tail: the outcome must not depend on how the kernel
+    // split the bytes.
+    TempDir dir("long");
+    ServerFixture fx(dir);
+    LineClient cli = LineClient::connect_unix(fx.nopt.unix_path);
+    EXPECT_EQ(cli.request("ping"), "pong");
+    cli.send_text(std::string(fx.nopt.max_line + 904, 'x') + "\n");
+    ASSERT_EQ(cli.recv_line(), "err 0 line too long");
+    EXPECT_THROW(cli.recv_line(), ModelError);  // then the server hangs up
+
+    // Other connections are unaffected.
+    LineClient other = LineClient::connect_unix(fx.nopt.unix_path);
+    EXPECT_EQ(other.request("ping"), "pong");
+}
+
+TEST(NetServer, ConnectionLimitRefusesAndCountsInObs) {
+    TempDir dir("conns");
+    NetServerOptions opts;
+    opts.max_conns = 1;
+    ServerFixture fx(dir, opts);
+    LineClient first = LineClient::connect_unix(fx.nopt.unix_path);
+    EXPECT_EQ(first.request("ping"), "pong");  // accepted before the next
+    const long long refused0 = net_count("net.refused");
+
+    LineClient second = LineClient::connect_unix(fx.nopt.unix_path);
+    ASSERT_EQ(second.recv_line(), "err 0 busy: connection limit reached");
+    EXPECT_THROW(second.recv_line(), ModelError);  // EOF after the refusal
+    EXPECT_EQ(net_count("net.refused") - refused0, 1);
+
+    EXPECT_EQ(first.request("ping"), "pong");
 }
 
 TEST(NetServer, ClientDisconnectDoesNotDisturbOtherClients) {

@@ -26,12 +26,8 @@ namespace {
 
 // Most tests count exact deltas on process-global metrics, so they read
 // the before-value from the same handle rather than assuming zero.
-#define SKIP_IF_OBS_OFF()                                               \
-    if (!obs::compiled_in())                                            \
-    GTEST_SKIP() << "built with MCSM_OBS=OFF: hooks compiled out"
 
 TEST(ObsCounter, RegistryReturnsSameInstance) {
-    SKIP_IF_OBS_OFF();
     obs::Counter& a = obs::counter("test.obs.identity");
     obs::Counter& b = obs::counter("test.obs.identity");
     EXPECT_EQ(&a, &b);
@@ -41,7 +37,6 @@ TEST(ObsCounter, RegistryReturnsSameInstance) {
 }
 
 TEST(ObsCounter, ConcurrentIncrementsAreExact) {
-    SKIP_IF_OBS_OFF();
     obs::Counter& c = obs::counter("test.obs.concurrent");
     const long long before = c.value();
     constexpr int kThreads = 8;
@@ -57,7 +52,6 @@ TEST(ObsCounter, ConcurrentIncrementsAreExact) {
 }
 
 TEST(ObsCounter, DisabledUpdatesAreDropped) {
-    SKIP_IF_OBS_OFF();
     obs::Counter& c = obs::counter("test.obs.kill_switch");
     const long long before = c.value();
     obs::set_enabled(false);
@@ -69,7 +63,6 @@ TEST(ObsCounter, DisabledUpdatesAreDropped) {
 }
 
 TEST(ObsGauge, SetAndAdd) {
-    SKIP_IF_OBS_OFF();
     obs::Gauge& g = obs::gauge("test.obs.depth");
     g.set(10);
     g.add(-3);
@@ -79,7 +72,6 @@ TEST(ObsGauge, SetAndAdd) {
 }
 
 TEST(ObsHistogram, BucketBoundariesAreConsistent) {
-    SKIP_IF_OBS_OFF();
     // Every sampled value must land in a bucket whose [lower, next-lower)
     // range contains it, across the full covered span (1 ns to minutes
     // when values are nanoseconds).
@@ -107,7 +99,6 @@ TEST(ObsHistogram, BucketBoundariesAreConsistent) {
 }
 
 TEST(ObsHistogram, StatsAndPercentiles) {
-    SKIP_IF_OBS_OFF();
     obs::Histogram& h = obs::histogram("test.obs.latency");
     h.reset();
     // 100 observations 1..100 (treated as ns): p50 ~ 50, p99 ~ 99, with
@@ -131,7 +122,6 @@ TEST(ObsHistogram, StatsAndPercentiles) {
 }
 
 TEST(ObsHistogram, IdenticalSamplesReportTheSampleValue) {
-    SKIP_IF_OBS_OFF();
     obs::Histogram& h = obs::histogram("test.obs.identical_ns");
     h.reset();
     // 1000 sits inside bucket [861.1, 1024): a bucket's lower edge would
@@ -144,7 +134,6 @@ TEST(ObsHistogram, IdenticalSamplesReportTheSampleValue) {
 }
 
 TEST(ObsSnapshot, SafeWhileWritersAreLive) {
-    SKIP_IF_OBS_OFF();
     obs::Counter& c = obs::counter("test.obs.snapshot_race");
     obs::Histogram& h = obs::histogram("test.obs.snapshot_race_ns");
     const long long before = c.value();
@@ -180,7 +169,6 @@ TEST(ObsSnapshot, SafeWhileWritersAreLive) {
 }
 
 TEST(ObsSnapshot, JsonContainsRegisteredMetrics) {
-    SKIP_IF_OBS_OFF();
     obs::counter("test.obs.json_counter").add(3);
     obs::gauge("test.obs.json_gauge").set(-2);
     obs::histogram("test.obs.json_hist").observe(5.0);
@@ -193,7 +181,6 @@ TEST(ObsSnapshot, JsonContainsRegisteredMetrics) {
 }
 
 TEST(ObsScopedLatency, ObservesOnDestruction) {
-    SKIP_IF_OBS_OFF();
     obs::Histogram& h = obs::histogram("test.obs.scoped_ns");
     h.reset();
     { const obs::ScopedLatency timer(h); }
@@ -202,7 +189,6 @@ TEST(ObsScopedLatency, ObservesOnDestruction) {
 }
 
 TEST(ObsTrace, WritesValidChromeJsonAndWrapsRing) {
-    SKIP_IF_OBS_OFF();
     const std::string path = "test_obs_trace.json";
     obs::TraceOptions topt;
     topt.path = path;
@@ -235,7 +221,6 @@ TEST(ObsTrace, WritesValidChromeJsonAndWrapsRing) {
 }
 
 TEST(ObsTrace, InactiveSpansEmitNothing) {
-    SKIP_IF_OBS_OFF();
     ASSERT_FALSE(obs::trace_active());
     // Spans outside start/stop must be dropped, not queued for the next
     // trace: a later capture of zero spans stays empty.
@@ -254,8 +239,7 @@ TEST(ObsTrace, InactiveSpansEmitNothing) {
 
 // The no-perturbation guarantee: instrumentation must never change solver
 // results. Run the same golden transient with metrics+tracing enabled and
-// disabled and require bitwise-identical waveforms. (This also runs, with
-// both halves trivially identical, when MCSM_OBS=OFF.)
+// disabled and require bitwise-identical waveforms.
 TEST(ObsDeterminism, ResultsBitwiseIdenticalOnAndOff) {
     const tech::Technology tech = tech::make_tech130();
     const cells::CellLibrary lib(tech);
@@ -285,7 +269,6 @@ TEST(ObsDeterminism, ResultsBitwiseIdenticalOnAndOff) {
 // Satellite 1: TranStats is the single source for both the result struct
 // and the solver.tran.* counters -- the deltas must match exactly.
 TEST(ObsTranStats, CountersMatchResultStats) {
-    SKIP_IF_OBS_OFF();
     obs::Counter& solves = obs::counter("solver.tran.solves");
     obs::Counter& iters = obs::counter("solver.tran.newton_iters");
     obs::Counter& accepted = obs::counter("solver.tran.steps_accepted");
@@ -313,7 +296,6 @@ TEST(ObsTranStats, CountersMatchResultStats) {
 // cold probe's included -- and each one assembles and factors once through
 // the workspace, so these counters move by exactly that much.
 TEST(ObsDcStats, CountersMatchResultIterations) {
-    SKIP_IF_OBS_OFF();
     obs::Counter& assembles = obs::counter("solver.ws.assembles");
     obs::Counter& factors = obs::counter("solver.ws.factors");
     obs::Counter& iters = obs::counter("solver.dc.newton_iters");

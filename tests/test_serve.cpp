@@ -566,9 +566,7 @@ TEST(Repository, FailedWriteBackStillCachesTheModel) {
     for (int i = 0; i < 3; ++i) EXPECT_NO_THROW(repo.get(key));
     EXPECT_EQ(repo.characterize_count(), 1u);
     EXPECT_TRUE(repo.cached(key));
-    if (obs::compiled_in()) {
-        EXPECT_EQ(failures.value() - before, 1);
-    }
+    EXPECT_EQ(failures.value() - before, 1);
 }
 
 // --- repository corner keying ---------------------------------------------

@@ -133,8 +133,8 @@ LintReport audit_model(const core::CsmModel& model) {
         Diagnostic& diag = report.add(
             Severity::kError, "model.inconsistent-shape",
             "model '" + cell + "': " + e.what());
-        diag.hint = "table ranks/axis counts disagree with the declared "
-                    "pins/internals; the store file is corrupt or "
+        diag.hint = "table ranks, counts or shared axes disagree with the "
+                    "declared pins/internals; the store file is corrupt or "
                     "hand-edited";
         return report;  // table iteration below assumes consistent shape
     }

@@ -21,8 +21,7 @@
 //                                     (corrupt, truncated, bad checksum)
 //   info    store.scanned             directory summary
 //
-// ModelRepository runs audit_model on every load when
-// RepositoryOptions::lint_on_load is set (the default), and the
+// ModelRepository runs audit_model on every model it admits, and the
 // examples/mcsm_lint CLI runs audit_path over store directories.
 #ifndef MCSM_ANALYSIS_MODEL_AUDIT_H
 #define MCSM_ANALYSIS_MODEL_AUDIT_H

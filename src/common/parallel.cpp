@@ -110,32 +110,43 @@ std::size_t resolve_threads(std::size_t requested) {
     return requested == 0 ? hardware_threads() : requested;
 }
 
-void parallel_workers(std::size_t k,
-                      const std::function<void(std::size_t)>& worker) {
-    if (k == 0) return;
-    if (k == 1 || ThreadPool::on_worker_thread()) {
-        for (std::size_t w = 0; w < k; ++w) worker(w);
+std::size_t parallel_slots(std::size_t threads) {
+    return ThreadPool::on_worker_thread() ? 1 : resolve_threads(threads);
+}
+
+void parallel_for(std::size_t n,
+                  const std::function<void(std::size_t, std::size_t)>& fn,
+                  std::size_t threads) {
+    if (n == 0) return;
+    const std::size_t k = std::min(parallel_slots(threads), n);
+    if (k == 1) {
+        for (std::size_t i = 0; i < n; ++i) fn(i, 0);
         return;
     }
     ThreadPool& pool = shared_pool();
     // Per-call completion latch: the caller waits for ITS k jobs only, so
     // concurrent top-level fan-outs on the shared pool don't serialize on
     // each other's batches.
+    std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
     std::exception_ptr first_error;
     std::mutex mutex;
     std::condition_variable done_cv;
     std::size_t remaining = k;
-    for (std::size_t w = 0; w < k; ++w) {
-        pool.submit([&, w] {
-            if (!failed.load(std::memory_order_relaxed)) {
-                try {
-                    worker(w);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    if (!failed.exchange(true)) {
-                        first_error = std::current_exception();
-                    }
+    for (std::size_t slot = 0; slot < k; ++slot) {
+        pool.submit([&, slot] {
+            try {
+                for (;;) {
+                    const std::size_t i =
+                        next.fetch_add(1, std::memory_order_relaxed);
+                    if (i >= n || failed.load(std::memory_order_relaxed))
+                        break;
+                    fn(i, slot);
+                }
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (!failed.exchange(true)) {
+                    first_error = std::current_exception();
                 }
             }
             std::lock_guard<std::mutex> lock(mutex);
@@ -149,21 +160,8 @@ void parallel_workers(std::size_t k,
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t threads) {
-    if (n == 0) return;
-    const std::size_t k =
-        std::min(resolve_threads(threads), n);
-    if (k <= 1 || ThreadPool::on_worker_thread()) {
-        for (std::size_t i = 0; i < n; ++i) fn(i);
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    parallel_workers(k, [&](std::size_t) {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n) return;
-            fn(i);
-        }
-    });
+    parallel_for(
+        n, [&](std::size_t i, std::size_t) { fn(i); }, threads);
 }
 
 }  // namespace mcsm

@@ -1,12 +1,14 @@
 // Minimal thread pool for fanning independent solves (characterization grid
 // sweeps, scenario enumeration, STA level evaluation) out over cores.
 //
-// Concurrency model: callers split work into tasks that touch disjoint data
-// (per-thread circuits/workspaces, disjoint table slots); the pool provides
-// scheduling and completion only. Nested parallel_for/parallel_workers calls
-// from inside a worker run inline, so composed layers (parallel library jobs
-// each running a parallel characterizer) degrade gracefully instead of
-// deadlocking or oversubscribing.
+// Concurrency model: callers split work into items that touch disjoint data
+// (disjoint table slots, per-slot circuits/workspaces); the pool provides
+// scheduling and completion only. parallel_for is the one fan-out: its
+// slot form hands every call a slot index so callers can keep per-slot
+// state (a testbench fixture, a stage cache) without locks. Nested
+// parallel_for calls from inside a worker run inline, so composed layers
+// (parallel library jobs each running a parallel characterizer) degrade
+// gracefully instead of deadlocking or oversubscribing.
 //
 // Environment: MCSM_THREADS=<n> overrides hardware_threads() in either
 // direction (0/unset: all cores).
@@ -35,7 +37,7 @@ public:
     std::size_t thread_count() const { return workers_.size(); }
 
     // Enqueues a job; jobs must not throw past their own boundary (use
-    // parallel_for / parallel_workers for exception propagation).
+    // parallel_for for exception propagation).
     void submit(std::function<void()> job) MCSM_EXCLUDES(mutex_);
 
     // Blocks until every submitted job has finished.
@@ -64,19 +66,27 @@ std::size_t hardware_threads();
 // Resolves a user-facing thread-count knob: 0 means hardware_threads().
 std::size_t resolve_threads(std::size_t requested);
 
-// Runs fn(i) for every i in [0, n), fanned over the shared pool. Work is
-// claimed dynamically (atomic counter) so uneven items balance. Runs inline
-// when n <= 1, threads resolves to 1, or the caller is already a pool
-// worker. The first exception thrown by fn is rethrown on the caller.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+// Slots a parallel_for with this thread-count knob can use: 1 inside a
+// pool worker (the nested fan-out runs inline), resolve_threads(threads)
+// otherwise. Callers that keep per-slot state size it with this.
+std::size_t parallel_slots(std::size_t threads = 0);
+
+// Runs fn(i, slot) for every i in [0, n), fanned over the shared pool with
+// at most min(parallel_slots(threads), n) jobs. Work is claimed dynamically
+// (atomic counter) so uneven items balance. Each job runs all its claims
+// under one slot in [0, parallel_slots(threads)), so per-slot state is
+// never touched by two threads at once; a slot's first call comes after
+// its first claim, so state built on first use costs nothing for a job
+// that finds the work drained. Runs inline under slot 0 when one slot is
+// all the call can use. The first exception thrown by fn is rethrown on
+// the caller.
+void parallel_for(std::size_t n,
+                  const std::function<void(std::size_t, std::size_t)>& fn,
                   std::size_t threads = 0);
 
-// Runs worker(w) for w in [0, k) concurrently - one call per pool slot -
-// for callers that keep per-worker state (a fixture, a workspace) and pull
-// work items off their own atomic cursor. Same inline/exception rules as
-// parallel_for.
-void parallel_workers(std::size_t k,
-                      const std::function<void(std::size_t)>& worker);
+// parallel_for without the slot: fn(i) for every i in [0, n).
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                  std::size_t threads = 0);
 
 }  // namespace mcsm
 

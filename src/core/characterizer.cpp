@@ -1,8 +1,8 @@
 #include "core/characterizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <functional>
 #include <optional>
 
 #include "common/error.h"
@@ -25,7 +25,9 @@ using spice::SourceSpec;
 
 // Characterization testbench: the cell with forcing voltage sources on
 // every modeled node (switching pins, OUT, and - for MCSM - the internal
-// stack nodes). Fixed pins sit at their non-controlling levels.
+// stack nodes). Fixed pins sit at their non-controlling levels. A fixture
+// carries everything one sweep point needs, so each parallel_for slot runs
+// on its own.
 struct Fixture {
     Circuit circuit;
     std::vector<int> pin_nodes;
@@ -34,7 +36,13 @@ struct Fixture {
     std::vector<std::string> internal_sources;
     int out_node = -1;
     std::string out_source = "VOUT";
+    // Branch ids of the OUT and internal-node sources, whose DC currents
+    // are the Io / IN table entries.
+    int out_branch = -1;
+    std::vector<int> internal_branches;
     std::vector<const Mosfet*> dut_mosfets;
+    // Cap-shortcut scratch: dut_mosfets[k]'s caps at the current point.
+    std::vector<spice::MosCaps> caps;
 
     // Node id of the forcing source for table axis d.
     const std::string& source_of_axis(std::size_t d,
@@ -56,9 +64,11 @@ spice::TranOptions ramp_tran_options(double tstop, double dt) {
     return topt;
 }
 
+// Switching pins and OUT are always forced; internal nodes only when
+// `force_internals` (MCSM).
 Fixture build_fixture(const cells::CellLibrary& lib, const CellType& cell,
                       const std::vector<std::string>& switching_pins,
-                      bool force_internals, bool force_out, double out_level) {
+                      bool force_internals) {
     Fixture f;
     const double vdd = lib.tech().vdd;
     const int vdd_node = f.circuit.node("vdd");
@@ -81,9 +91,6 @@ Fixture build_fixture(const cells::CellLibrary& lib, const CellType& cell,
         f.circuit.add_vsource(src_name, n, Circuit::kGround,
                               SourceSpec::dc(switching ? 0.0
                                                        : pin.non_controlling));
-        if (switching) {
-            // keep pin order as given in switching_pins
-        }
     }
     // Record switching pins in the requested order.
     for (const std::string& p : switching_pins) {
@@ -102,20 +109,38 @@ Fixture build_fixture(const cells::CellLibrary& lib, const CellType& cell,
         }
     }
 
-    if (force_out) {
-        f.circuit.add_vsource(f.out_source, f.out_node, Circuit::kGround,
-                              SourceSpec::dc(out_level));
-    }
+    f.circuit.add_vsource(f.out_source, f.out_node, Circuit::kGround,
+                          SourceSpec::dc(0.0));
 
-    const cells::CellInstance inst = cell.instantiate(f.circuit, "DUT", conn);
-    (void)inst;
+    cell.instantiate(f.circuit, "DUT", conn);
     for (const auto& dev : f.circuit.devices()) {
         if (const auto* m = dynamic_cast<const Mosfet*>(dev.get()))
             f.dut_mosfets.push_back(m);
     }
+    f.caps.resize(f.dut_mosfets.size());
     f.circuit.prepare();
+    f.out_branch = f.circuit.branch_of(f.out_source);
+    for (const std::string& src : f.internal_sources)
+        f.internal_branches.push_back(f.circuit.branch_of(src));
     return f;
 }
+
+// Testbench fixtures per parallel_for slot: slot 0 runs on the caller's
+// fixture (the one the inline path uses), every other slot builds its own
+// on its first claim and keeps it for every later fan-out of the same
+// characterization (construction repeats the pattern analysis and pivot
+// search).
+struct SlotFixtures {
+    Fixture& main;
+    std::function<Fixture()> build;
+    std::vector<std::optional<Fixture>> spare;
+
+    Fixture& operator[](std::size_t slot) {
+        if (slot == 0) return main;
+        if (!spare[slot]) spare[slot].emplace(build());
+        return *spare[slot];
+    }
+};
 
 // Sweep axes: {-dv, -dv/2, linspace(0, vdd, g-2)..., vdd+dv/2, vdd+dv}.
 // Both rails are exact knots (needed for clean DC equilibria of the
@@ -147,67 +172,42 @@ bool next_index(std::vector<std::size_t>& idx,
     return false;
 }
 
-// Sums the small-signal MOSFET capacitance between two circuit nodes at the
-// bias in `x` (node voltages indexed by node id).
-double pair_cap(const std::vector<const Mosfet*>& mosfets,
-                const std::vector<double>& x, int a, int b) {
-    double total = 0.0;
-    for (const Mosfet* m : mosfets) {
-        const spice::MosCaps c = m->evaluate_caps(
-            x[static_cast<std::size_t>(m->drain())],
-            x[static_cast<std::size_t>(m->gate())],
-            x[static_cast<std::size_t>(m->source())],
-            x[static_cast<std::size_t>(m->bulk())]);
-        const struct {
-            int u, v;
-            double cap;
-        } pairs[5] = {{m->gate(), m->source(), c.cgs},
-                      {m->gate(), m->drain(), c.cgd},
-                      {m->gate(), m->bulk(), c.cgb},
-                      {m->drain(), m->bulk(), c.cdb},
-                      {m->source(), m->bulk(), c.csb}};
-        for (const auto& p : pairs) {
-            if ((p.u == a && p.v == b) || (p.u == b && p.v == a))
-                total += p.cap;
-        }
-    }
-    return total;
-}
+// One cap table of the model-linearization shortcut. At a grid point the
+// table sums every DUT MOSFET pair capacitance (cgs, cgd, cgb, cdb, csb)
+// that joins node a to node b or, when b < 0, joins a to any node other
+// than a itself and the nodes in `skip`.
+struct CapRule {
+    lut::NdTable* table;
+    int a;
+    int b;
+    std::vector<int> skip;
 
-// Sums all MOSFET capacitance incident to node `a`, excluding couplings to
-// nodes in `excluded`.
-double incident_cap(const std::vector<const Mosfet*>& mosfets,
-                    const std::vector<double>& x, int a,
-                    const std::vector<int>& excluded) {
-    double total = 0.0;
-    for (const Mosfet* m : mosfets) {
-        const spice::MosCaps c = m->evaluate_caps(
-            x[static_cast<std::size_t>(m->drain())],
-            x[static_cast<std::size_t>(m->gate())],
-            x[static_cast<std::size_t>(m->source())],
-            x[static_cast<std::size_t>(m->bulk())]);
-        const struct {
-            int u, v;
-            double cap;
-        } pairs[5] = {{m->gate(), m->source(), c.cgs},
-                      {m->gate(), m->drain(), c.cgd},
-                      {m->gate(), m->bulk(), c.cgb},
-                      {m->drain(), m->bulk(), c.cdb},
-                      {m->source(), m->bulk(), c.csb}};
-        for (const auto& p : pairs) {
-            int other = -1;
-            if (p.u == a) other = p.v;
-            else if (p.v == a) other = p.u;
-            else continue;
-            if (other == a) continue;  // no self terms
-            if (std::find(excluded.begin(), excluded.end(), other) !=
-                excluded.end())
-                continue;
-            total += p.cap;
+    bool feeds(int u, int v) const {
+        if (u != a) {
+            if (v != a) return false;
+            std::swap(u, v);
         }
+        // u is a; v is the pair's other node.
+        if (b >= 0) return v == b;
+        return v != a && std::find(skip.begin(), skip.end(), v) == skip.end();
     }
-    return total;
-}
+
+    // The table's value from the caps `fx` holds for its current point,
+    // summed from 0.0 device by device in MosCaps member order.
+    double sum(const Fixture& fx) const {
+        double total = 0.0;
+        for (std::size_t k = 0; k < fx.dut_mosfets.size(); ++k) {
+            const Mosfet& m = *fx.dut_mosfets[k];
+            const spice::MosCaps& c = fx.caps[k];
+            if (feeds(m.gate(), m.source())) total += c.cgs;
+            if (feeds(m.gate(), m.drain())) total += c.cgd;
+            if (feeds(m.gate(), m.bulk())) total += c.cgb;
+            if (feeds(m.drain(), m.bulk())) total += c.cdb;
+            if (feeds(m.source(), m.bulk())) total += c.csb;
+        }
+        return total;
+    }
+};
 
 // Combines the (dim-1) fixed-axis indices with knot k on the ramped axis.
 std::vector<std::size_t> combine_index(const std::vector<std::size_t>& other,
@@ -225,13 +225,10 @@ std::vector<std::size_t> combine_index(const std::vector<std::size_t>& other,
 //
 // The grid combinations are independent (each writes its own table slots
 // and every transient starts from its own cold DC solve), so they fan out
-// over per-worker fixtures; results are reproducible to solver tolerance
-// for any thread count (each worker's LU freezes its pivot order at its
+// over per-slot fixtures; results are reproducible to solver tolerance
+// for any thread count (each slot's LU freezes its pivot order at its
 // first combo, so bitwise equality across schedules is not guaranteed).
-void extract_caps_transient(CsmModel& model, const cells::CellLibrary& lib,
-                            const CellType& cell,
-                            const std::vector<std::string>& switching_pins,
-                            bool force_internals, Fixture& fx,
+void extract_caps_transient(CsmModel& model, SlotFixtures& fixtures,
                             const std::vector<double>& knots,
                             const CharOptions& opt) {
     const std::size_t dim = model.dim();
@@ -249,8 +246,8 @@ void extract_caps_transient(CsmModel& model, const cells::CellLibrary& lib,
     for (double ramp_time : ramps) {
         const double rate = (hi - lo) / ramp_time;
         require((knots[1] - lo) / rate > 3.0 * opt.dt,
-                "Characterizer: dv margin too small for cap ramps; "
-                "reduce dt or increase dv");
+                "Characterizer: the technology's dv margin is too small "
+                "for the cap ramps; reduce dt or lengthen the ramps");
     }
 
     const std::vector<std::size_t> other_sizes(dim - 1, g);
@@ -335,15 +332,6 @@ void extract_caps_transient(CsmModel& model, const cells::CellLibrary& lib,
         }
     };
 
-    // Inside a pool worker the fan-out would run inline anyway; take the
-    // sequential path directly so no per-worker fixtures are built just to
-    // find the work cursor drained. Worker fixtures are lazily built once
-    // and reused across all ramped axes (fixture construction repeats the
-    // pattern analysis and pivot search).
-    const std::size_t max_workers =
-        ThreadPool::on_worker_thread() ? 1 : resolve_threads(opt.threads);
-    std::vector<std::optional<Fixture>> worker_fx(max_workers);
-
     for (std::size_t r = 0; r < dim; ++r) {
         std::vector<std::vector<std::size_t>> combos;
         std::vector<std::size_t> other(dim - 1, 0);
@@ -351,28 +339,12 @@ void extract_caps_transient(CsmModel& model, const cells::CellLibrary& lib,
             combos.push_back(other);
         } while (next_index(other, other_sizes));
 
-        const std::size_t n_workers = std::min(max_workers, combos.size());
-        if (n_workers <= 1) {
-            for (const auto& c : combos) measure_combo(fx, r, c);
-        } else {
-            std::atomic<std::size_t> next{0};
-            parallel_workers(n_workers, [&](std::size_t w) {
-                // Claim work before paying for a fixture: a worker queued
-                // behind a drained cursor exits for free.
-                std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= combos.size()) return;
-                if (!worker_fx[w]) {
-                    worker_fx[w].emplace(
-                        build_fixture(lib, cell, switching_pins,
-                                      force_internals,
-                                      /*force_out=*/true, 0.0));
-                }
-                Fixture& wfx = *worker_fx[w];
-                for (; i < combos.size();
-                     i = next.fetch_add(1, std::memory_order_relaxed))
-                    measure_combo(wfx, r, combos[i]);
-            });
-        }
+        parallel_for(
+            combos.size(),
+            [&](std::size_t i, std::size_t slot) {
+                measure_combo(fixtures[slot], r, combos[i]);
+            },
+            opt.threads);
 
         // Edge knots of the ramped axis: copy the nearest interior value.
         auto fill_edges = [&](lut::NdTable& t) {
@@ -445,8 +417,7 @@ void extract_input_caps(CsmModel& model, const cells::CellLibrary& lib,
                            "Cin_" + switching_pins[p]);
 
         Fixture fx = build_fixture(lib, cell, switching_pins,
-                                   /*force_internals=*/false,
-                                   /*force_out=*/true, 0.0);
+                                   /*force_internals=*/false);
         // Park the other switching pins at their non-controlling levels.
         for (std::size_t q = 0; q < switching_pins.size(); ++q) {
             if (q == p) continue;
@@ -454,8 +425,6 @@ void extract_input_caps(CsmModel& model, const cells::CellLibrary& lib,
                 .set_spec(SourceSpec::dc(
                     cell.input(switching_pins[q]).non_controlling));
         }
-        const int pin_branch = fx.circuit.branch_of(fx.pin_sources[p]);
-        (void)pin_branch;
 
         for (double out_level : out_levels) {
             fx.circuit.vsource(fx.out_source)
@@ -515,7 +484,7 @@ CsmModel Characterizer::characterize(
     obs::counter("char.characterizations").add();
     const CellType& cell = lib_->get(cell_name);
     const double vdd = lib_->tech().vdd;
-    const double dv = options.dv > 0.0 ? options.dv : lib_->tech().dv_margin;
+    const double dv = lib_->tech().dv_margin;
 
     require(!switching_pins.empty(), "characterize: no switching pins");
     if (kind == ModelKind::kSis)
@@ -551,8 +520,14 @@ CsmModel Characterizer::characterize(
     const std::size_t n_pins = model.pins.size();
     const std::size_t n_int = model.internals.size();
 
-    Fixture fx = build_fixture(*lib_, cell, switching_pins, model_internals,
-                               /*force_out=*/true, 0.0);
+    Fixture fx = build_fixture(*lib_, cell, switching_pins, model_internals);
+    SlotFixtures fixtures{
+        fx,
+        [&] {
+            return build_fixture(*lib_, cell, switching_pins,
+                                 model_internals);
+        },
+        std::vector<std::optional<Fixture>>(parallel_slots(options.threads))};
 
     // --- current sources: DC sweep ------------------------------------------
     model.i_out = lut::NdTable(axes, "Io");
@@ -567,65 +542,58 @@ CsmModel Characterizer::characterize(
         for (const std::string& n : model.internals)
             model.c_miller_internal.emplace_back(axes, "Cm_" + p + "_" + n);
 
-    const std::vector<std::size_t> sizes(dim, knots.size());
     const std::size_t g_knots = knots.size();
 
-    // Per-worker sweep bench: a private testbench fixture with its own
-    // solver workspace.
-    struct SweepBench {
-        Fixture* fx;
-        int out_branch = -1;
-        std::vector<int> int_branches;
-    };
-    auto make_bench = [&](Fixture* f) {
-        SweepBench b;
-        b.fx = f;
-        b.out_branch = f->circuit.branch_of(f->out_source);
-        for (const std::string& s : f->internal_sources)
-            b.int_branches.push_back(f->circuit.branch_of(s));
-        return b;
-    };
+    // Cap tables of the model-linearization shortcut. Node ids come from
+    // the main fixture; every slot fixture of the cell numbers them alike.
+    std::vector<CapRule> cap_rules;
+    if (!options.transient_caps) {
+        for (std::size_t p = 0; p < n_pins; ++p)
+            cap_rules.push_back(
+                {&model.c_miller[p], fx.pin_nodes[p], fx.out_node, {}});
+        cap_rules.push_back({&model.c_out, fx.out_node, -1, fx.pin_nodes});
+        // When pin->internal Millers are modeled, CN skips the pin
+        // couplings (they get their own tables); otherwise CN absorbs
+        // everything incident to the stack node (the paper's choice).
+        for (std::size_t j = 0; j < n_int; ++j)
+            cap_rules.push_back(
+                {&model.c_internal[j], fx.internal_nodes[j], -1,
+                 options.internal_miller ? fx.pin_nodes : std::vector<int>{}});
+        if (options.internal_miller) {
+            for (std::size_t p = 0; p < n_pins; ++p)
+                for (std::size_t j = 0; j < n_int; ++j)
+                    cap_rules.push_back(
+                        {&model.c_miller_internal[p * n_int + j],
+                         fx.pin_nodes[p], fx.internal_nodes[j], {}});
+        }
+    }
 
     // Records one solved grid point (x: DcResult layout) into the tables.
-    auto record_point = [&](SweepBench& b, const std::vector<std::size_t>& idx,
+    auto record_point = [&](Fixture& bfx, const std::vector<std::size_t>& idx,
                             const std::vector<double>& x) {
-        Fixture& bfx = *b.fx;
         const std::size_t nn =
             static_cast<std::size_t>(bfx.circuit.node_count());
         // Current INTO the cell = -(branch current of the forcing source).
         model.i_out.set_grid_value(
-            idx, -x[nn + static_cast<std::size_t>(b.out_branch)]);
+            idx, -x[nn + static_cast<std::size_t>(bfx.out_branch)]);
         for (std::size_t j = 0; j < n_int; ++j)
             model.i_internal[j].set_grid_value(
-                idx, -x[nn + static_cast<std::size_t>(b.int_branches[j])]);
+                idx,
+                -x[nn + static_cast<std::size_t>(bfx.internal_branches[j])]);
 
-        if (!options.transient_caps) {
-            // Model-linearization shortcut: sum device caps at this bias.
-            for (std::size_t p = 0; p < n_pins; ++p)
-                model.c_miller[p].set_grid_value(
-                    idx, pair_cap(bfx.dut_mosfets, x, bfx.pin_nodes[p],
-                                  bfx.out_node));
-            model.c_out.set_grid_value(
-                idx, incident_cap(bfx.dut_mosfets, x, bfx.out_node,
-                                  bfx.pin_nodes));
-            // When pin->internal Millers are modeled, CN excludes the pin
-            // couplings (they get their own tables); otherwise CN absorbs
-            // everything incident to the stack node (the paper's choice).
-            const std::vector<int> excluded =
-                options.internal_miller ? bfx.pin_nodes : std::vector<int>{};
-            for (std::size_t j = 0; j < n_int; ++j)
-                model.c_internal[j].set_grid_value(
-                    idx, incident_cap(bfx.dut_mosfets, x,
-                                      bfx.internal_nodes[j], excluded));
-            if (options.internal_miller) {
-                for (std::size_t p = 0; p < n_pins; ++p)
-                    for (std::size_t j = 0; j < n_int; ++j)
-                        model.c_miller_internal[p * n_int + j].set_grid_value(
-                            idx, pair_cap(bfx.dut_mosfets, x,
-                                          bfx.pin_nodes[p],
-                                          bfx.internal_nodes[j]));
-            }
+        // Model-linearization shortcut: each DUT MOSFET's caps at this bias,
+        // evaluated once, feed every cap table.
+        if (options.transient_caps) return;
+        const auto v = [&](int node) {
+            return x[static_cast<std::size_t>(node)];
+        };
+        for (std::size_t k = 0; k < bfx.dut_mosfets.size(); ++k) {
+            const Mosfet& m = *bfx.dut_mosfets[k];
+            bfx.caps[k] = m.evaluate_caps(v(m.drain()), v(m.gate()),
+                                          v(m.source()), v(m.bulk()));
         }
+        for (const CapRule& rule : cap_rules)
+            rule.table->set_grid_value(idx, rule.sum(bfx));
     };
 
     // One slice: every grid point with first-axis knot i0, next_index
@@ -635,9 +603,8 @@ CsmModel Characterizer::characterize(
     // writes are disjoint across slices and each slice starts from its own
     // cold warm-start chain with a fresh pivot order, so the tables come
     // out bitwise identical for any worker count or claim order.
-    auto sweep_slice = [&](SweepBench& b, std::size_t i0) {
+    auto sweep_slice = [&](Fixture& bfx, std::size_t i0) {
         const obs::Span slice_span("char.dc_slice");
-        Fixture& bfx = *b.fx;
         std::vector<spice::VSource*> swept;
         swept.reserve(dim);
         for (std::size_t p = 0; p < n_pins; ++p)
@@ -675,42 +642,22 @@ CsmModel Characterizer::characterize(
                 bfx.circuit, swept, vals, idxs.size(), {},
                 warm.empty() ? nullptr : &warm,
                 [&](std::size_t p, const std::vector<double>& x) {
-                    record_point(b, idxs[p], x);
+                    record_point(bfx, idxs[p], x);
                     warm = x;
                 });
         }
     };
 
-    // As in extract_caps_transient: run inline without spare fixtures when
-    // this characterize() is itself a pool-worker job.
-    const std::size_t sweep_workers =
-        ThreadPool::on_worker_thread()
-            ? 1
-            : std::min(resolve_threads(options.threads), g_knots);
-    if (sweep_workers <= 1) {
-        SweepBench bench = make_bench(&fx);
-        for (std::size_t i0 = 0; i0 < g_knots; ++i0) sweep_slice(bench, i0);
-    } else {
-        std::atomic<std::size_t> next{0};
-        parallel_workers(sweep_workers, [&](std::size_t) {
-            // Claim a slice before paying for a fixture (see the cap
-            // extraction fan-out).
-            std::size_t i0 = next.fetch_add(1, std::memory_order_relaxed);
-            if (i0 >= g_knots) return;
-            Fixture wfx = build_fixture(*lib_, cell, switching_pins,
-                                        model_internals,
-                                        /*force_out=*/true, 0.0);
-            SweepBench bench = make_bench(&wfx);
-            for (; i0 < g_knots;
-                 i0 = next.fetch_add(1, std::memory_order_relaxed))
-                sweep_slice(bench, i0);
-        });
-    }
+    parallel_for(
+        g_knots,
+        [&](std::size_t i0, std::size_t slot) {
+            sweep_slice(fixtures[slot], i0);
+        },
+        options.threads);
 
     // --- capacitances: transient ramp extraction -----------------------------
     if (options.transient_caps) {
-        extract_caps_transient(model, *lib_, cell, switching_pins,
-                               model_internals, fx, knots, options);
+        extract_caps_transient(model, fixtures, knots, options);
     }
 
     // Numerical floors: keep capacitances physical.

@@ -1,17 +1,21 @@
 // Model characterization (paper Section 3.3).
 //
 // Current sources Io / IN: DC sweeps of every modeled node over a grid
-// spanning [-dv, Vdd+dv] (the paper's safety margin), measuring the current
-// each forcing source delivers into the cell.
+// spanning [-dv, Vdd+dv] (the paper's safety margin, the technology's
+// dv_margin), measuring the current each forcing source delivers into the
+// cell.
 //
 // Capacitances Cm/Co/CN: SPICE-style transient analyses -- one node is
 // driven with a saturated ramp while the others are held at DC grid values;
 // the capacitive component of each measured source current (total minus the
 // DC current at the instantaneous bias) divided by the ramp slope gives the
 // capacitance, averaged over two ramp slopes as the paper prescribes.
-// A fast "model linearization" mode computes the same quantities directly
-// from the MOSFET small-signal capacitances (used by tests; an ablation
-// bench shows the two agree).
+// A fast "model linearization" mode (transient_caps = false) computes the
+// same quantities directly from the MOSFET small-signal capacitances: each
+// DUT MOSFET's caps are evaluated once per grid point and every cap table
+// sums the terminal pairs its node rule takes. Every serve-tier
+// characterize-on-miss uses it (3-pin arcs always); an ablation bench shows
+// the two modes agree.
 //
 // Input (receiver) capacitances: 1-D in the input voltage, extracted with
 // the output tied to DC (paper's eq. (3) discussion), averaged over the two
@@ -30,7 +34,6 @@ namespace mcsm::core {
 
 struct CharOptions {
     std::size_t grid_points = 11;  // knots per voltage axis (>= 4)
-    double dv = -1.0;              // sweep margin; <0 uses tech.dv_margin
     bool transient_caps = true;    // paper-faithful ramp extraction
     double cap_ramp = 150e-12;     // primary ramp duration (0-100%) [s]
     double cap_ramp2 = 300e-12;    // second slope averaged in [s]
@@ -44,14 +47,14 @@ struct CharOptions {
     // capacitance incident to the stack node, exactly as in the paper.
     bool internal_miller = true;
     // Worker threads for the grid sweeps (0: all cores, see MCSM_THREADS).
-    // Every worker runs its own testbench fixture and solver workspace and
-    // writes disjoint table slots. The DC sweep is bitwise identical for
-    // any thread count or claim order: each first-axis slice runs its own
-    // blocked solve_dc_sweep with a fresh pivot order and a slice-local
-    // warm-start chain (so shortcut characterizations — transient_caps
-    // false — are fully deterministic; the transient cap extraction
-    // remains reproducible to solver tolerance, its worker fixtures reuse
-    // frozen pivot orders across combos).
+    // Every parallel_for slot runs its own testbench fixture and solver
+    // workspace and writes disjoint table slots. The DC sweep is bitwise
+    // identical for any thread count or claim order: each first-axis slice
+    // runs its own blocked solve_dc_sweep with a fresh pivot order and a
+    // slice-local warm-start chain (so shortcut characterizations —
+    // transient_caps false — are fully deterministic; the transient cap
+    // extraction remains reproducible to solver tolerance, its slot
+    // fixtures reuse frozen pivot orders across combos).
     std::size_t threads = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "core/model.h"
 
+#include <cstring>
+
 #include "common/error.h"
 
 namespace mcsm::core {
@@ -12,6 +14,24 @@ const char* to_string(ModelKind kind) {
     }
     return "?";
 }
+
+namespace {
+
+// Names and knots of every axis equal, bit for bit.
+bool same_axes(const lut::NdTable& a, const lut::NdTable& b) {
+    if (a.rank() != b.rank()) return false;
+    for (std::size_t d = 0; d < a.rank(); ++d) {
+        const lut::Axis& x = a.axis(d);
+        const lut::Axis& y = b.axis(d);
+        if (x.name() != y.name() || x.size() != y.size() ||
+            std::memcmp(x.knots().data(), y.knots().data(),
+                        x.size() * sizeof(double)) != 0)
+            return false;
+    }
+    return true;
+}
+
+}  // namespace
 
 void CsmModel::check_consistent() const {
     const std::size_t d = dim();
@@ -26,17 +46,22 @@ void CsmModel::check_consistent() const {
     require(c_miller.size() == pins.size(),
             "CsmModel: c_miller count mismatch");
     require(c_in.size() == pins.size(), "CsmModel: c_in count mismatch");
-    for (const auto& t : i_internal)
-        require(t.rank() == d, "CsmModel: i_internal rank mismatch");
-    for (const auto& t : c_miller)
-        require(t.rank() == d, "CsmModel: c_miller rank mismatch");
-    require(c_out.rank() == d, "CsmModel: c_out rank mismatch");
-    for (const auto& t : c_internal)
-        require(t.rank() == d, "CsmModel: c_internal rank mismatch");
     require(c_miller_internal.size() == pins.size() * internals.size(),
             "CsmModel: c_miller_internal count mismatch");
-    for (const auto& t : c_miller_internal)
-        require(t.rank() == d, "CsmModel: c_miller_internal rank mismatch");
+    // Every D-dimensional table shares i_out's axes [pins..., internals...,
+    // out], names and knots bit for bit.
+    const auto check_shared_axes = [&](const lut::NdTable& t) {
+        if (same_axes(t, i_out)) return;
+        std::string msg = "CsmModel: table '";
+        msg += t.name();
+        msg += "' does not share i_out's axes";
+        throw ModelError(msg);
+    };
+    for (const auto& t : i_internal) check_shared_axes(t);
+    for (const auto& t : c_miller) check_shared_axes(t);
+    check_shared_axes(c_out);
+    for (const auto& t : c_internal) check_shared_axes(t);
+    for (const auto& t : c_miller_internal) check_shared_axes(t);
     for (const auto& t : c_in)
         require(t.rank() == 1, "CsmModel: c_in must be 1-D");
     require(fixed_pins.size() == fixed_values.size(),

@@ -90,12 +90,12 @@ std::shared_ptr<const core::CsmModel> ModelRepository::get(
         [&] {
             ModelPtr model = load_or_characterize(key);
             // Pre-flight audit on every production (pack or store load, or
-            // fresh characterization): a defective model is
-            // rejected here, before anything is served from it, and the
-            // failure is never cached (single-flight failure contract).
-            if (options_.lint_on_load)
-                analysis::audit_model(*model).require_clean(
-                    "ModelRepository[" + key.to_string() + "]");
+            // fresh characterization): a defective model is rejected here,
+            // before anything is served from it, and the failure is never
+            // cached (single-flight failure contract), so a repaired store
+            // file is retried on the next get().
+            analysis::audit_model(*model).require_clean(
+                "ModelRepository[" + key.to_string() + "]");
             return model;
         },
         &outcome);
@@ -185,9 +185,8 @@ const cells::CellLibrary& ModelRepository::library_for(const Corner& corner) {
 
 void ModelRepository::put(const ModelKey& key, core::CsmModel model) {
     model.check_consistent();
-    if (options_.lint_on_load)
-        analysis::audit_model(model).require_clean(
-            "ModelRepository::put[" + key.to_string() + "]");
+    analysis::audit_model(model).require_clean(
+        "ModelRepository::put[" + key.to_string() + "]");
     auto ptr = std::make_shared<const core::CsmModel>(std::move(model));
     cache_.put(key.to_string(), ptr);
     persist(key, *ptr);

@@ -4,10 +4,14 @@
 // Lookup order for a key: in-memory cache -> served pack (RepositoryOptions
 // ::pack) -> the store's single-entry pack <dir>/<key>.mcsmpack ->
 // on-demand characterization (when a cell library is attached), whose
-// result is written back to the store. Loads are lazy and single-flight:
-// concurrent misses on the same key block on one load/characterization
-// instead of duplicating it, and a failed load is never cached (the next
-// get retries, e.g. after the corrupt file was replaced). Write-back is
+// result is written back to the store. Every model production (pack or
+// store load, characterize-on-miss, put()) passes analysis::audit_model
+// first, the serve layer's pre-flight admission gate: a model with audit
+// errors throws ModelError carrying the lint report. Loads are lazy and
+// single-flight: concurrent misses on the same key block on one
+// load/characterization instead of duplicating it, and a failed load or
+// audit is never cached (the next get retries, e.g. after the corrupt file
+// was replaced). Write-back is
 // best effort: a store that cannot be written costs the next process a
 // re-characterization, never this process its model (failures count in
 // the serve.store.write_failures obs counter).
@@ -79,12 +83,6 @@ struct RepositoryOptions {
     // per process (the in-memory cache holds the result); the mapping
     // itself is shared page cache across every process hosting the pack.
     std::shared_ptr<PackHost> pack;
-    // Run analysis::audit_model on every model production (pack or store
-    // load, characterize-on-miss, put()) and throw ModelError carrying the
-    // lint report when it finds errors -- the pre-flight admission gate of
-    // the serve layer. Failed audits are never cached, so a repaired store
-    // file is retried on the next get().
-    bool lint_on_load = true;
     // Options for the characterize-on-miss fallback (1- and 2-pin arcs).
     core::CharOptions char_options;
     // Characterization options for arcs with >= 3 switching pins. A 3-pin

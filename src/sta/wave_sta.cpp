@@ -1,7 +1,6 @@
 #include "sta/wave_sta.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 
 #include "common/error.h"
@@ -181,32 +180,21 @@ std::unordered_map<std::string, wave::Waveform> WaveformSta::run(
         levels[level].push_back(idx);
     }
 
-    // Per-worker fixture caches persist across levels (worker w always uses
+    // Per-slot fixture caches persist across levels (slot w always uses
     // caches[w]); stages are claimed dynamically, which is safe because a
     // reused fixture produces bit-identical results to a fresh build.
-    const std::size_t max_workers =
-        ThreadPool::on_worker_thread() ? 1 : resolve_threads(options.threads);
     std::vector<std::unordered_map<std::string, StageFixture>> caches(
-        std::max<std::size_t>(1, max_workers));
+        parallel_slots(options.threads));
 
     for (const std::vector<std::size_t>& level : levels) {
         std::vector<wave::Waveform> outs(level.size());
-        const std::size_t n_workers = std::min(max_workers, level.size());
-        if (n_workers <= 1) {
-            for (std::size_t i = 0; i < level.size(); ++i)
-                outs[i] =
-                    run_stage(netlist_->instances()[level[i]], caches[0]);
-        } else {
-            std::atomic<std::size_t> next{0};
-            parallel_workers(n_workers, [&](std::size_t w) {
-                for (std::size_t i =
-                         next.fetch_add(1, std::memory_order_relaxed);
-                     i < level.size();
-                     i = next.fetch_add(1, std::memory_order_relaxed))
-                    outs[i] = run_stage(netlist_->instances()[level[i]],
-                                        caches[w]);
-            });
-        }
+        parallel_for(
+            level.size(),
+            [&](std::size_t i, std::size_t slot) {
+                outs[i] = run_stage(netlist_->instances()[level[i]],
+                                    caches[slot]);
+            },
+            options.threads);
         for (std::size_t i = 0; i < level.size(); ++i) {
             const Instance& inst = netlist_->instances()[level[i]];
             nets[inst.conn.at("OUT")] = std::move(outs[i]);

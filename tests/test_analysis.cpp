@@ -4,7 +4,7 @@
 // decks -- that nothing fires at all: the linter is only useful if it has
 // zero false positives on circuits the repo itself simulates). Also covers
 // the structural-singularity matcher on hand-built patterns, the hardened
-// store/text load paths, and the repository's lint_on_load admission gate.
+// store/text load paths, and the repository's admission gate.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -326,6 +326,18 @@ core::CsmModel make_sis_model(double vdd = 1.2) {
     return m;
 }
 
+// make_sis_model with every 2-D table on an output axis that stops at
+// 0.9 V: the shape is consistent, but the 1.2 V rail is outside the grid.
+core::CsmModel make_short_out_model() {
+    core::CsmModel m = make_sis_model();
+    const lut::Axis va = m.i_out.axis(0);
+    const lut::Axis vo_short("out", {0.0, 0.45, 0.9});
+    m.i_out = lut::NdTable({va, vo_short}, "Io");
+    m.c_miller = {lut::NdTable({va, vo_short}, "Cm_A")};
+    m.c_out = lut::NdTable({va, vo_short}, "Co");
+    return m;
+}
+
 TEST(ModelAudit, CleanModelPasses) {
     const LintReport report = audit_model(make_sis_model());
     EXPECT_TRUE(report.empty()) << report.format();
@@ -351,13 +363,7 @@ TEST(ModelAudit, RequireCleanThrowsWithContext) {
 }
 
 TEST(ModelAudit, KnotCoverageFires) {
-    core::CsmModel m = make_sis_model();
-    // Output axis stops at 0.9 V: the 1.2 V rail is outside the grid.
-    m.i_out = lut::NdTable(
-        {lut::Axis("A", {-0.12, 0.0, 0.6, 1.2, 1.32}),
-         lut::Axis("out", {0.0, 0.45, 0.9})},
-        "Io");
-    const LintReport report = audit_model(m);
+    const LintReport report = audit_model(make_short_out_model());
     EXPECT_TRUE(report.fired("model.knot-coverage")) << report.format();
 }
 
@@ -577,36 +583,29 @@ TEST(LoadHardening, BinaryModelRejectsBadVdd) {
 
 TEST(RepositoryLint, DefectiveStoreModelIsRejectedOnLoad) {
     TempDir tmp;
-    // Parses fine (finite, monotone) but audits dirty: the output axis
-    // misses the rail, so only lint_on_load can catch it.
-    core::CsmModel m = make_sis_model();
-    m.i_out = lut::NdTable(
-        {lut::Axis("A", {-0.12, 0.0, 0.6, 1.2, 1.32}),
-         lut::Axis("out", {0.0, 0.45, 0.9})},
-        "Io");
+    // Parses and maps fine (finite, monotone, shape-consistent) but audits
+    // dirty: the output axis misses the rail, so only the admission audit
+    // can catch it.
+    const core::CsmModel m = make_short_out_model();
     const serve::ModelKey key = serve::ModelKey::arc("TEST_INV", {"A"});
 
     serve::RepositoryOptions opt;
     opt.dir = tmp.root();
-    serve::ModelRepository writer(nullptr, opt);
+    serve::ModelRepository repo(nullptr, opt);
     // put() runs the same gate: the defective model must not enter.
-    EXPECT_THROW(writer.put(key, m), ModelError);
+    EXPECT_THROW(repo.put(key, m), ModelError);
+    EXPECT_FALSE(repo.cached(key));
 
-    opt.lint_on_load = false;
-    serve::ModelRepository lax_writer(nullptr, opt);
-    lax_writer.put(key, m);  // gate off: persists to the store dir
+    // Published behind the repository's back as the key's store file.
+    serve::PackWriter writer;
+    writer.add_model(key.to_string(), m);
+    writer.write(repo.store_path(key));
 
-    opt.lint_on_load = true;
-    serve::ModelRepository reader(nullptr, opt);
-    const std::string what = what_of([&] { reader.get(key); });
+    const std::string what = what_of([&] { repo.get(key); });
     EXPECT_NE(what.find("ModelRepository[TEST_INV.SIS.A]"), std::string::npos)
         << what;
     EXPECT_NE(what.find("model.knot-coverage"), std::string::npos) << what;
-    EXPECT_FALSE(reader.cached(key));  // failed audits are never cached
-
-    opt.lint_on_load = false;
-    serve::ModelRepository lax_reader(nullptr, opt);
-    EXPECT_EQ(lax_reader.get(key)->cell_name, "TEST_INV");
+    EXPECT_FALSE(repo.cached(key));  // failed audits are never cached
 }
 
 TEST(RepositoryLint, CleanModelPassesTheGate) {
@@ -617,7 +616,6 @@ TEST(RepositoryLint, CleanModelPassesTheGate) {
     const serve::ModelKey key = serve::ModelKey::arc("TEST_INV", {"A"});
     repo.put(key, make_sis_model());
     EXPECT_EQ(repo.get(key)->cell_name, "TEST_INV");
-    EXPECT_TRUE(repo.options().lint_on_load);  // on by default
 }
 
 }  // namespace

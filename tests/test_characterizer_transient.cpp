@@ -1,15 +1,23 @@
 // Validates the paper-faithful transient capacitance extraction (Section
 // 3.3: ramp analyses, slope averaging, DC-current subtraction) against the
 // model-linearization shortcut, and checks the paper's claim that the
-// extracted capacitance is insensitive to the ramp slope.
+// extracted capacitance is insensitive to the ramp slope. The shortcut's
+// own cap tables are pinned bit for bit against a per-table oracle
+// (cap_oracle.h) at every grid point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "cap_oracle.h"
 #include "core/characterizer.h"
 #include "engine/scenarios.h"
 #include "core/model_scenarios.h"
+#include "spice/circuit.h"
 #include "tech/tech130.h"
 #include "wave/metrics.h"
 
@@ -133,6 +141,123 @@ TEST_F(TransientChar, Nor2TransientModelIsAccurate) {
             gw, mw, stim.t_final - 0.1e-9, stim.t_final + 0.6e-9, tech_.vdd);
         EXPECT_LT(nrmse, 0.05);
     }
+}
+
+// --- model-linearization cap tables vs the per-table oracle -------------
+
+// Characterizes `cell` as an MCSM model on the shortcut at grid 4 and
+// compares every cap table, at every grid point, with the oracle evaluated
+// at the exact knot voltages. MCSM fixtures force every node of the cell,
+// so the bias of each grid point is known without a DC solve.
+void expect_shortcut_caps_match_oracle(const cells::CellLibrary& lib,
+                                       const std::string& cell,
+                                       const std::vector<std::string>& pins,
+                                       bool internal_miller) {
+    CharOptions opt;
+    opt.grid_points = 4;
+    opt.transient_caps = false;
+    opt.cin_points = 5;
+    opt.internal_miller = internal_miller;
+    const CsmModel m =
+        Characterizer(lib).characterize(cell, ModelKind::kMcsm, pins, opt);
+
+    // The cell with a node per formal name, built through the cells API.
+    spice::Circuit c;
+    std::unordered_map<std::string, int> node;
+    node[cells::kVdd] = c.node("vdd");
+    node[cells::kGnd] = spice::Circuit::kGround;
+    node[cells::kOut] = c.node("out");
+    const cells::CellType& type = lib.get(cell);
+    for (const cells::PinInfo& pin : type.inputs())
+        node[pin.name] = c.node("in_" + pin.name);
+    for (const std::string& formal : type.internal_nodes())
+        node[formal] = c.node("int_" + formal);
+    type.instantiate(c, "DUT", node);
+    std::vector<const spice::Mosfet*> mosfets;
+    for (const auto& dev : c.devices())
+        if (const auto* mos = dynamic_cast<const spice::Mosfet*>(dev.get()))
+            mosfets.push_back(mos);
+
+    std::vector<int> pin_nodes;
+    for (const std::string& p : m.pins) pin_nodes.push_back(node.at(p));
+    std::vector<int> internal_nodes;
+    for (const std::string& n : m.internals)
+        internal_nodes.push_back(node.at(n));
+    const int out = node.at(cells::kOut);
+    std::vector<int> axis_nodes = pin_nodes;
+    axis_nodes.insert(axis_nodes.end(), internal_nodes.begin(),
+                      internal_nodes.end());
+    axis_nodes.push_back(out);
+
+    std::vector<double> x(static_cast<std::size_t>(c.node_count()), 0.0);
+    x[static_cast<std::size_t>(node.at(cells::kVdd))] = m.vdd;
+    for (std::size_t f = 0; f < m.fixed_pins.size(); ++f)
+        x[static_cast<std::size_t>(node.at(m.fixed_pins[f]))] =
+            m.fixed_values[f];
+
+    const std::size_t n_int = m.internal_count();
+    const std::vector<int> cn_skip =
+        internal_miller ? pin_nodes : std::vector<int>{};
+    std::vector<std::size_t> idx(m.dim(), 0);
+    std::size_t points = 0;
+    for (bool more = true; more; ++points) {
+        for (std::size_t d = 0; d < m.dim(); ++d)
+            x[static_cast<std::size_t>(axis_nodes[d])] =
+                m.i_out.axis(d).knots()[idx[d]];
+        // The characterizer's capacitance floors.
+        for (std::size_t p = 0; p < pin_nodes.size(); ++p)
+            EXPECT_EQ(m.c_miller[p].grid_value(idx),
+                      std::max(pair_cap(mosfets, x, pin_nodes[p], out), 0.0))
+                << m.c_miller[p].name() << " point " << points;
+        EXPECT_EQ(m.c_out.grid_value(idx),
+                  std::max(incident_cap(mosfets, x, out, pin_nodes), 1e-18))
+            << "Co point " << points;
+        for (std::size_t j = 0; j < n_int; ++j)
+            EXPECT_EQ(m.c_internal[j].grid_value(idx),
+                      std::max(incident_cap(mosfets, x, internal_nodes[j],
+                                            cn_skip),
+                               1e-18))
+                << m.c_internal[j].name() << " point " << points;
+        for (std::size_t p = 0; p < pin_nodes.size(); ++p)
+            for (std::size_t j = 0; j < n_int; ++j)
+                EXPECT_EQ(m.c_miller_internal[p * n_int + j].grid_value(idx),
+                          internal_miller
+                              ? std::max(pair_cap(mosfets, x, pin_nodes[p],
+                                                  internal_nodes[j]),
+                                         0.0)
+                              : 0.0)
+                    << m.c_miller_internal[p * n_int + j].name() << " point "
+                    << points;
+        if (::testing::Test::HasFailure()) return;  // one point's worth
+        std::size_t d = idx.size();
+        more = false;
+        while (d-- > 0) {
+            if (++idx[d] < m.i_out.axis(d).size()) {
+                more = true;
+                break;
+            }
+            idx[d] = 0;
+        }
+    }
+    EXPECT_EQ(points, m.i_out.value_count());
+}
+
+TEST_F(TransientChar, ShortcutCapsMatchOracleNor2) {
+    for (const bool internal_miller : {true, false})
+        expect_shortcut_caps_match_oracle(lib_, "NOR2", {"A", "B"},
+                                          internal_miller);
+}
+
+TEST_F(TransientChar, ShortcutCapsMatchOracleNand2FixedPin) {
+    for (const bool internal_miller : {true, false})
+        expect_shortcut_caps_match_oracle(lib_, "NAND2", {"A"},
+                                          internal_miller);
+}
+
+TEST_F(TransientChar, ShortcutCapsMatchOracleNand3) {
+    for (const bool internal_miller : {true, false})
+        expect_shortcut_caps_match_oracle(lib_, "NAND3", {"A", "B", "C"},
+                                          internal_miller);
 }
 
 }  // namespace

@@ -3,8 +3,13 @@
 // corrupt results.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "analysis/model_audit.h"
+#include "common/fp_text.h"
 #include "core/characterizer.h"
 #include "core/csm_device.h"
 #include "core/explicit_sim.h"
@@ -107,6 +112,33 @@ TEST(ModelValidation, DetectsWrongCinCount) {
     EXPECT_THROW(broken.check_consistent(), ModelError);
 }
 
+std::string error_of(const std::function<void()>& fn) {
+    try {
+        fn();
+    } catch (const ModelError& e) {
+        return e.what();
+    }
+    return {};
+}
+
+TEST(ModelValidation, DetectsTableOffTheSharedAxes) {
+    // Co's third OUT knot moved by 50 mV: ranks and counts still agree,
+    // only the axes every D-dimensional table must share do not.
+    const Shared& s = Shared::get();
+    CsmModel broken = s.inv;
+    std::vector<lut::Axis> axes = broken.c_out.axes();
+    std::vector<double> out_knots = axes.back().knots();
+    out_knots[2] += 0.05;
+    ASSERT_LT(out_knots[2], out_knots[3]);
+    axes.back() = lut::Axis(axes.back().name(), out_knots);
+    broken.c_out = lut::NdTable(axes, broken.c_out.name());
+
+    const std::string what = error_of([&] { broken.check_consistent(); });
+    EXPECT_NE(what.find("'Co'"), std::string::npos) << what;
+    EXPECT_TRUE(analysis::audit_model(broken).fired(
+        "model.inconsistent-shape"));
+}
+
 // --- model IO failure injection ---------------------------------------------
 
 TEST(ModelIoValidation, RoundTripThenTruncationFails) {
@@ -121,6 +153,38 @@ TEST(ModelIoValidation, RoundTripThenTruncationFails) {
             text.substr(0, static_cast<std::size_t>(text.size() * frac)));
         EXPECT_THROW(read_model(cut), ModelError) << frac;
     }
+}
+
+TEST(ModelIoValidation, RejectsTableOffTheSharedAxes) {
+    // A text export with the third knot of Co's OUT axis line moved by
+    // 50 mV parses table by table, but the model's shared axes no longer
+    // hold.
+    const Shared& s = Shared::get();
+    std::stringstream ss;
+    write_model(ss, s.inv);
+    std::string text = ss.str();
+    const std::size_t line = text.find("axis OUT ", text.find("table Co "));
+    ASSERT_NE(line, std::string::npos);
+    const std::size_t eol = text.find('\n', line);
+    std::istringstream tokens(text.substr(line, eol - line));
+    std::vector<std::string> words;
+    for (std::string w; tokens >> w;) words.push_back(w);
+    // words: axis OUT <n> k0 k1 k2 ...
+    double knot = 0.0;
+    ASSERT_TRUE(parse_exact_double(words.at(5), knot));
+    std::ostringstream moved;
+    write_exact_double(moved, knot + 0.05);
+    words[5] = moved.str();
+    std::string edited;
+    for (const std::string& w : words) {
+        if (!edited.empty()) edited += ' ';
+        edited += w;
+    }
+    text.replace(line, eol - line, edited);
+
+    std::stringstream is(text);
+    const std::string what = error_of([&] { read_model(is); });
+    EXPECT_NE(what.find("'Co'"), std::string::npos) << what;
 }
 
 TEST(ModelIoValidation, RejectsWrongHeaderAndKind) {

@@ -525,8 +525,9 @@ TEST(Repository, SingleFlightCharacterizesOnceUnderConcurrency) {
 
     const ModelKey key = ModelKey::arc("INV_X1", {"A"});
     std::vector<std::shared_ptr<const core::CsmModel>> seen(6);
-    parallel_workers(seen.size(),
-                     [&](std::size_t w) { seen[w] = repo.get(key); });
+    parallel_for(
+        seen.size(), [&](std::size_t w) { seen[w] = repo.get(key); },
+        seen.size());
     EXPECT_EQ(repo.characterize_count(), 1u);
     for (const auto& m : seen) EXPECT_EQ(m.get(), seen.front().get());
 }

@@ -110,14 +110,20 @@ analysis::LintReport lint_poisoned_model_demo() {
 
     const lut::Axis va("A", {-0.12, 0.0, 0.6, 1.2, 1.32});
     // Covers only [0, 0.9] V: fails the rail-coverage rule at vdd = 1.2.
-    // Every 2-D table shares it, as the model's shape requires.
+    // Every 2-D table of the model's table list shares it, as the model's
+    // shape requires; the 1-D Cin table spans the pin axis.
     const lut::Axis vo_short("out", {0.0, 0.45, 0.9});
-    m.i_out = lut::NdTable({va, vo_short}, "Io");
+    const std::vector<core::TableRole> roles = m.roles();
+    const std::vector<lut::NdTable*> tables = m.reset_tables();
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        const bool input_cap =
+            roles[i].kind == core::TableRole::Kind::kInputCap;
+        *tables[i] = input_cap
+                         ? lut::NdTable({va}, m.table_name(roles[i]))
+                         : lut::NdTable({va, vo_short}, m.table_name(roles[i]));
+    }
     m.i_out.set_grid_value(std::vector<std::size_t>{1, 1},
                            std::nan(""));  // poisoned payload
-    m.c_miller = {lut::NdTable({va, vo_short}, "Cm_A")};
-    m.c_out = lut::NdTable({va, vo_short}, "Co");
-    m.c_in = {lut::NdTable({va}, "Cin_A")};
     return analysis::audit_model(m);
 }
 

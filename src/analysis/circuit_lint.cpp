@@ -243,12 +243,13 @@ LintReport lint_circuit(Circuit& circuit, const CircuitLintOptions& options) {
             } else if (const auto* cell =
                            dynamic_cast<const core::CsmCellDevice*>(
                                dev.get())) {
-                // The cell's current sources pin the output/internal nodes
-                // to a model-consistent DC state; its input pins are
-                // capacitive only (receiver caps).
-                dc.unite(cell->out_node(), Circuit::kGround);
-                for (const int internal : cell->internal_nodes())
-                    dc.unite(internal, Circuit::kGround);
+                // The cell's current sources pin the internal and output
+                // nodes (the terminals after the pins) to a model-consistent
+                // DC state; its input pins are capacitive only.
+                const std::vector<int> t = cell->terminals();
+                for (std::size_t d = cell->model().pin_count(); d < t.size();
+                     ++d)
+                    dc.unite(t[d], Circuit::kGround);
             }
             // Capacitors, LutCapDevice and current sources conduct nothing
             // at DC.

@@ -36,17 +36,19 @@ std::size_t count_nonfinite(const std::vector<double>& values) {
     return n;
 }
 
-void audit_axes(const lut::NdTable& table, const std::string& name,
+// Audits every axis of `table`; messages name the axes' owner (`owner`
+// axis 'A' ...). `vdd` > 0 also requires each axis to cover [0, vdd].
+void audit_axes(const lut::NdTable& table, const std::string& owner,
                 double vdd, LintReport& report) {
     for (std::size_t d = 0; d < table.rank(); ++d) {
         const lut::Axis& ax = table.axis(d);
         const std::vector<double>& knots = ax.knots();
+        const std::string axis = owner + " axis '" + ax.name() + "'";
         const long bad = first_nonfinite(knots);
         if (bad >= 0) {
             Diagnostic& diag = report.add(
                 Severity::kError, "table.axis-nonfinite",
-                "table '" + name + "' axis '" + ax.name() + "' knot " +
-                    std::to_string(bad) + " is not finite");
+                axis + " knot " + std::to_string(bad) + " is not finite");
             diag.hint = "re-characterize or restore the table from a good "
                         "copy";
             continue;
@@ -55,8 +57,7 @@ void audit_axes(const lut::NdTable& table, const std::string& name,
             if (!(knots[i] > knots[i - 1])) {
                 Diagnostic& diag = report.add(
                     Severity::kError, "table.axis-nonmonotone",
-                    "table '" + name + "' axis '" + ax.name() +
-                        "' is not strictly increasing (knot " +
+                    axis + " is not strictly increasing (knot " +
                         std::to_string(i) + " = " + std::to_string(knots[i]) +
                         " <= knot " + std::to_string(i - 1) + " = " +
                         std::to_string(knots[i - 1]) + ")");
@@ -67,14 +68,30 @@ void audit_axes(const lut::NdTable& table, const std::string& name,
         if (vdd > 0.0 && (ax.lo() > 0.0 || ax.hi() < vdd)) {
             Diagnostic& diag = report.add(
                 Severity::kError, "model.knot-coverage",
-                "table '" + name + "' axis '" + ax.name() + "' spans [" +
-                    std::to_string(ax.lo()) + ", " + std::to_string(ax.hi()) +
+                axis + " spans [" + std::to_string(ax.lo()) + ", " +
+                    std::to_string(ax.hi()) +
                     "] V and does not cover the rail range [0, " +
                     std::to_string(vdd) + "] V");
             diag.hint = "evaluation clamps outside the grid; the model "
                         "would serve edge values for in-range voltages";
         }
     }
+}
+
+// Audits the payload of a table whose axes are audited separately.
+void audit_values(const lut::NdTable& table, const std::string& name,
+                  LintReport& report) {
+    const long bad = first_nonfinite(table.values());
+    if (bad < 0) return;
+    Diagnostic& diag = report.add(
+        Severity::kError, "table.nonfinite-value",
+        "table '" + name + "' holds " +
+            std::to_string(count_nonfinite(table.values())) +
+            " non-finite value(s) (first at flat index " +
+            std::to_string(bad) + " of " +
+            std::to_string(table.value_count()) + ")");
+    diag.hint = "a NaN knot poisons every interpolation that touches its "
+                "cell; re-characterize the model";
 }
 
 void range_check(double value, double lo, double hi, const char* what,
@@ -89,6 +106,19 @@ void range_check(double value, double lo, double hi, const char* what,
                 "nonsensical options";
 }
 
+// Audits a standalone table, `name` naming it in messages.
+LintReport audit_table(const lut::NdTable& table, const std::string& name) {
+    LintReport report;
+    if (table.rank() == 0 || table.value_count() == 0) {
+        report.add(Severity::kError, "table.empty",
+                   "table '" + name + "' has no axes/values");
+        return report;
+    }
+    audit_axes(table, "table '" + name + "'", 0.0, report);
+    audit_values(table, name, report);
+    return report;
+}
+
 // Minimum over a table's payload (0 for empty tables).
 double min_value(const lut::NdTable& t) {
     if (t.values().empty()) return 0.0;
@@ -96,31 +126,6 @@ double min_value(const lut::NdTable& t) {
 }
 
 }  // namespace
-
-LintReport audit_table(const lut::NdTable& table, const std::string& context,
-                       double vdd) {
-    LintReport report;
-    const std::string name = context.empty() ? table.name() : context;
-    if (table.rank() == 0 || table.value_count() == 0) {
-        report.add(Severity::kError, "table.empty",
-                   "table '" + name + "' has no axes/values");
-        return report;
-    }
-    audit_axes(table, name, vdd, report);
-    const long bad = first_nonfinite(table.values());
-    if (bad >= 0) {
-        Diagnostic& diag = report.add(
-            Severity::kError, "table.nonfinite-value",
-            "table '" + name + "' holds " +
-                std::to_string(count_nonfinite(table.values())) +
-                " non-finite value(s) (first at flat index " +
-                std::to_string(bad) + " of " +
-                std::to_string(table.value_count()) + ")");
-        diag.hint = "a NaN knot poisons every interpolation that touches "
-                    "its cell; re-characterize the model";
-    }
-    return report;
-}
 
 LintReport audit_model(const core::CsmModel& model) {
     LintReport report;
@@ -167,42 +172,33 @@ LintReport audit_model(const core::CsmModel& model) {
                            "voltage");
     }
 
+    // Walk the table list. check_consistent passed, so every table has
+    // axes and values, and every D-dimensional table shares i_out's axes:
+    // those are audited once, each 1-D Cin axis on its own.
     const double vdd = std::isfinite(model.vdd) ? model.vdd : 0.0;
-    const auto table = [&](const lut::NdTable& t, const std::string& label) {
-        report.merge(audit_table(t, cell + "." + label, vdd));
-    };
-    table(model.i_out, "Io");
-    for (std::size_t j = 0; j < model.i_internal.size(); ++j)
-        table(model.i_internal[j], "IN_" + model.internals[j]);
-    for (std::size_t p = 0; p < model.c_miller.size(); ++p)
-        table(model.c_miller[p], "Cm_" + model.pins[p]);
-    table(model.c_out, "Co");
-    for (std::size_t j = 0; j < model.c_internal.size(); ++j)
-        table(model.c_internal[j], "CN_" + model.internals[j]);
-    for (std::size_t i = 0; i < model.c_miller_internal.size(); ++i)
-        table(model.c_miller_internal[i], "CmN_" + std::to_string(i));
-    for (std::size_t p = 0; p < model.c_in.size(); ++p)
-        table(model.c_in[p], "Cin_" + model.pins[p]);
+    const std::vector<core::TableRole> roles = model.roles();
+    const std::vector<const lut::NdTable*> tables = model.tables();
+    audit_axes(*tables.front(), "model '" + cell + "' shared", vdd, report);
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        const core::TableRole& role = roles[i];
+        const lut::NdTable& t = *tables[i];
+        const std::string name = model.table_name(role);
+        const std::string label = cell + "." + name;
+        const bool input_cap = role.kind == core::TableRole::Kind::kInputCap;
+        if (input_cap) audit_axes(t, "table '" + label + "'", vdd, report);
+        audit_values(t, label, report);
 
-    // Grounded capacitance tables should not dip (meaningfully) below zero;
-    // Miller tables are excluded (their sign convention is bias-dependent).
-    constexpr double kCapTol = -1e-18;  // transient-extraction noise floor
-    if (min_value(model.c_out) < kCapTol) {
-        Diagnostic& diag = report.add(
-            Severity::kWarning, "model.negative-capacitance",
-            "model '" + cell + "' Co dips to " +
-                std::to_string(min_value(model.c_out)) + " F");
-        diag.hint = "sizeable negative output capacitance usually means a "
-                    "broken cap extraction";
-    }
-    for (std::size_t p = 0; p < model.c_in.size(); ++p) {
-        if (min_value(model.c_in[p]) < kCapTol) {
+        // Grounded capacitances (Co, C_N, Cin) should not dip
+        // (meaningfully) below zero; Miller tables are excluded (their sign
+        // convention is bias-dependent).
+        constexpr double kCapTol = -1e-18;  // transient-extraction noise
+        if ((input_cap || role.grounded()) && min_value(t) < kCapTol) {
             Diagnostic& diag = report.add(
                 Severity::kWarning, "model.negative-capacitance",
-                "model '" + cell + "' Cin_" + model.pins[p] + " dips to " +
-                    std::to_string(min_value(model.c_in[p])) + " F");
-            diag.hint = "sizeable negative input capacitance usually means "
-                        "a broken cap extraction";
+                "model '" + cell + "' " + name + " dips to " +
+                    std::to_string(min_value(t)) + " F");
+            diag.hint = "sizeable negative grounded capacitance usually "
+                        "means a broken cap extraction";
         }
     }
     return report;

@@ -14,7 +14,7 @@
 //   error   model.physical-range      vdd/dv_margin/temp out of range
 //   error   model.knot-coverage       voltage axis does not cover [0, vdd]
 //   error   model.duplicate-pin       pin/internal name repeated
-//   warning model.negative-capacitance  Co/Cin table dips below zero
+//   warning model.negative-capacitance  grounded cap (Co, C_N, Cin) < 0
 //   error   surface.nonpositive-slew  slew table value <= 0
 //   error   surface.bad-parameters    dt/settle not finite and positive
 //   error   store.unreadable          file failed to load or map
@@ -30,17 +30,13 @@
 
 #include "analysis/diagnostics.h"
 #include "core/model.h"
-#include "lut/ndtable.h"
 #include "serve/model_store.h"
 
 namespace mcsm::analysis {
 
-// Audits one table. `context` names it in messages ("Io", "NOR2.Io", ...);
-// empty uses table.name(). `vdd` > 0 additionally requires every axis to
-// cover the voltage range [0, vdd] (pass 0 for non-voltage tables).
-LintReport audit_table(const lut::NdTable& table, const std::string& context,
-                       double vdd = 0.0);
-
+// Audits a model through its table list (core/model.h): each table is
+// labelled <cell>.<canonical name> (NOR2.I_N, NOR2.Cm_A_N, ...), the axes
+// every D-dimensional table shares are audited once, each Cin axis once.
 LintReport audit_model(const core::CsmModel& model);
 
 LintReport audit_surface(const serve::ArcSurfaceData& surface);

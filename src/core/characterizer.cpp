@@ -30,28 +30,15 @@ using spice::SourceSpec;
 // on its own.
 struct Fixture {
     Circuit circuit;
-    std::vector<int> pin_nodes;
-    std::vector<std::string> pin_sources;
-    std::vector<int> internal_nodes;
-    std::vector<std::string> internal_sources;
-    int out_node = -1;
-    std::string out_source = "VOUT";
-    // Branch ids of the OUT and internal-node sources, whose DC currents
-    // are the Io / IN table entries.
-    int out_branch = -1;
-    std::vector<int> internal_branches;
+    // Per forced node, in table axis order (pins, internals when forced,
+    // out): its node id, its forcing source, and that source's branch id
+    // (whose DC current is the node's current table entry).
+    std::vector<int> nodes;
+    std::vector<std::string> sources;
+    std::vector<int> branches;
     std::vector<const Mosfet*> dut_mosfets;
     // Cap-shortcut scratch: dut_mosfets[k]'s caps at the current point.
     std::vector<spice::MosCaps> caps;
-
-    // Node id of the forcing source for table axis d.
-    const std::string& source_of_axis(std::size_t d,
-                                      std::size_t n_pins) const {
-        if (d < n_pins) return pin_sources[d];
-        if (d < n_pins + internal_sources.size())
-            return internal_sources[d - n_pins];
-        return out_source;
-    }
 };
 
 // LTE-adaptive stepping + Jacobian reuse for one cap-extraction ramp.
@@ -78,8 +65,8 @@ Fixture build_fixture(const cells::CellLibrary& lib, const CellType& cell,
     std::unordered_map<std::string, int> conn;
     conn[cells::kVdd] = vdd_node;
     conn[cells::kGnd] = Circuit::kGround;
-    f.out_node = f.circuit.node("out");
-    conn[cells::kOut] = f.out_node;
+    const int out_node = f.circuit.node("out");
+    conn[cells::kOut] = out_node;
 
     for (const cells::PinInfo& pin : cell.inputs()) {
         const int n = f.circuit.node("in_" + pin.name);
@@ -94,8 +81,8 @@ Fixture build_fixture(const cells::CellLibrary& lib, const CellType& cell,
     }
     // Record switching pins in the requested order.
     for (const std::string& p : switching_pins) {
-        f.pin_nodes.push_back(conn.at(p));
-        f.pin_sources.push_back("VP_" + p);
+        f.nodes.push_back(conn.at(p));
+        f.sources.push_back("VP_" + p);
     }
 
     if (force_internals) {
@@ -104,12 +91,14 @@ Fixture build_fixture(const cells::CellLibrary& lib, const CellType& cell,
             conn[formal] = n;
             const std::string src = "VN_" + formal;
             f.circuit.add_vsource(src, n, Circuit::kGround, SourceSpec::dc(0.0));
-            f.internal_nodes.push_back(n);
-            f.internal_sources.push_back(src);
+            f.nodes.push_back(n);
+            f.sources.push_back(src);
         }
     }
 
-    f.circuit.add_vsource(f.out_source, f.out_node, Circuit::kGround,
+    f.nodes.push_back(out_node);
+    f.sources.emplace_back("VOUT");
+    f.circuit.add_vsource(f.sources.back(), out_node, Circuit::kGround,
                           SourceSpec::dc(0.0));
 
     cell.instantiate(f.circuit, "DUT", conn);
@@ -119,9 +108,8 @@ Fixture build_fixture(const cells::CellLibrary& lib, const CellType& cell,
     }
     f.caps.resize(f.dut_mosfets.size());
     f.circuit.prepare();
-    f.out_branch = f.circuit.branch_of(f.out_source);
-    for (const std::string& src : f.internal_sources)
-        f.internal_branches.push_back(f.circuit.branch_of(src));
+    for (const std::string& src : f.sources)
+        f.branches.push_back(f.circuit.branch_of(src));
     return f;
 }
 
@@ -259,13 +247,13 @@ void extract_caps_transient(CsmModel& model, SlotFixtures& fixtures,
         // Program the non-ramped sources.
         for (std::size_t d = 0, o = 0; d < dim; ++d) {
             if (d == r) continue;
-            cfx.circuit.vsource(cfx.source_of_axis(d, n_pins))
+            cfx.circuit.vsource(cfx.sources[d])
                 .set_spec(SourceSpec::dc(knots[other[o]]));
             ++o;
         }
         for (double ramp_time : ramps) {
             const double rate = (hi - lo) / ramp_time;
-            cfx.circuit.vsource(cfx.source_of_axis(r, n_pins))
+            cfx.circuit.vsource(cfx.sources[r])
                 .set_spec(SourceSpec::pwl(
                     wave::saturated_ramp(t0, ramp_time, lo, hi)));
             const spice::TranOptions topt =
@@ -276,7 +264,7 @@ void extract_caps_transient(CsmModel& model, SlotFixtures& fixtures,
             const spice::TranResult res =
                 spice::solve_tran(cfx.circuit, topt);
             const wave::Waveform i_out =
-                res.vsource_current(cfx.out_source);
+                res.vsource_current(cfx.sources.back());
 
             for (std::size_t k = 1; k + 1 < g; ++k) {
                 const double tk = t0 + (knots[k] - lo) / rate;
@@ -295,7 +283,7 @@ void extract_caps_transient(CsmModel& model, SlotFixtures& fixtures,
                         // sources: pin -> internal Miller caps.
                         for (std::size_t j = 0; j < n_int; ++j) {
                             const wave::Waveform i_n = res.vsource_current(
-                                cfx.internal_sources[j]);
+                                cfx.sources[n_pins + j]);
                             const double in_meas = -i_n.at(tk);
                             const double in_dc =
                                 model.i_internal[j].grid_value(idx);
@@ -309,7 +297,7 @@ void extract_caps_transient(CsmModel& model, SlotFixtures& fixtures,
                 } else if (r < n_pins + n_int) {
                     const std::size_t j = r - n_pins;
                     const wave::Waveform i_n =
-                        res.vsource_current(cfx.internal_sources[j]);
+                        res.vsource_current(cfx.sources[r]);
                     const double i_meas = -i_n.at(tk);
                     const double i_dc =
                         model.i_internal[j].grid_value(idx);
@@ -391,18 +379,15 @@ void extract_caps_transient(CsmModel& model, SlotFixtures& fixtures,
     }
 }
 
-// 1-D receiver input capacitance per switching pin (paper eq. (3)): ramp the
-// pin with the output tied to a DC rail and the internal nodes free, then
-// average over both rails and both slopes.
+// 1-D receiver input capacitance per switching pin (paper eq. (3)), into
+// the model's c_in tables: ramp the pin with the output tied to a DC rail
+// and the internal nodes free, then average over both rails and both
+// slopes.
 void extract_input_caps(CsmModel& model, const cells::CellLibrary& lib,
                         const CellType& cell,
                         const std::vector<std::string>& switching_pins,
                         const CharOptions& opt) {
     const double vdd = lib.tech().vdd;
-    const double dv = model.dv_margin;
-    const std::vector<double> knots = make_knots(vdd, dv, opt.cin_points);
-    const double lo = knots.front();
-    const double hi = knots.back();
     const double t0 = 30e-12;
     const std::vector<double> ramps{opt.cap_ramp, opt.cap_ramp2};
     const std::vector<double> out_levels{0.0, vdd};
@@ -410,28 +395,29 @@ void extract_input_caps(CsmModel& model, const cells::CellLibrary& lib,
         1.0 / static_cast<double>(ramps.size() * out_levels.size());
 
     // Pins are independent (each runs its own fixture and writes only its
-    // own table); fan them out and append in pin order afterwards.
-    std::vector<lut::NdTable> tables(switching_pins.size());
+    // own table).
     parallel_for(switching_pins.size(), [&](std::size_t p) {
-        lut::NdTable table({lut::Axis(switching_pins[p], knots)},
-                           "Cin_" + switching_pins[p]);
+        lut::NdTable& table = model.c_in[p];
+        const std::vector<double>& knots = table.axis(0).knots();
+        const double lo = knots.front();
+        const double hi = knots.back();
 
         Fixture fx = build_fixture(lib, cell, switching_pins,
                                    /*force_internals=*/false);
         // Park the other switching pins at their non-controlling levels.
         for (std::size_t q = 0; q < switching_pins.size(); ++q) {
             if (q == p) continue;
-            fx.circuit.vsource(fx.pin_sources[q])
+            fx.circuit.vsource(fx.sources[q])
                 .set_spec(SourceSpec::dc(
                     cell.input(switching_pins[q]).non_controlling));
         }
 
         for (double out_level : out_levels) {
-            fx.circuit.vsource(fx.out_source)
+            fx.circuit.vsource(fx.sources.back())
                 .set_spec(SourceSpec::dc(out_level));
             for (double ramp_time : ramps) {
                 const double rate = (hi - lo) / ramp_time;
-                fx.circuit.vsource(fx.pin_sources[p])
+                fx.circuit.vsource(fx.sources[p])
                     .set_spec(SourceSpec::pwl(
                         wave::saturated_ramp(t0, ramp_time, lo, hi)));
                 const spice::TranOptions topt =
@@ -440,7 +426,7 @@ void extract_input_caps(CsmModel& model, const cells::CellLibrary& lib,
                 const spice::TranResult res =
                     spice::solve_tran(fx.circuit, topt);
                 const wave::Waveform i_pin =
-                    res.vsource_current(fx.pin_sources[p]);
+                    res.vsource_current(fx.sources[p]);
                 for (std::size_t k = 1; k + 1 < knots.size(); ++k) {
                     const double tk = t0 + (knots[k] - lo) / rate;
                     // Gate current is purely capacitive (DC part is zero).
@@ -453,7 +439,7 @@ void extract_input_caps(CsmModel& model, const cells::CellLibrary& lib,
                 }
             }
         }
-        // Edge knots copy the nearest interior; floor at zero.
+        // Edge knots copy the nearest interior.
         const std::size_t g = knots.size();
         const std::size_t i0[1] = {0};
         const std::size_t i1[1] = {1};
@@ -463,13 +449,7 @@ void extract_input_caps(CsmModel& model, const cells::CellLibrary& lib,
                              table.grid_value(std::span<const std::size_t>(i1, 1)));
         table.set_grid_value(std::span<const std::size_t>(ie, 1),
                              table.grid_value(std::span<const std::size_t>(ei, 1)));
-        table.for_each_grid_point([](std::span<const std::size_t>,
-                                     std::span<const double>, double& v) {
-            if (v < 0.0) v = 0.0;
-        });
-        tables[p] = std::move(table);
     }, opt.threads);
-    for (lut::NdTable& t : tables) model.c_in.push_back(std::move(t));
 }
 
 }  // namespace
@@ -517,8 +497,6 @@ CsmModel Characterizer::characterize(
     for (const std::string& n : model.internals) axes.emplace_back(n, knots);
     axes.emplace_back("OUT", knots);
     const std::size_t dim = axes.size();
-    const std::size_t n_pins = model.pins.size();
-    const std::size_t n_int = model.internals.size();
 
     Fixture fx = build_fixture(*lib_, cell, switching_pins, model_internals);
     SlotFixtures fixtures{
@@ -529,42 +507,49 @@ CsmModel Characterizer::characterize(
         },
         std::vector<std::optional<Fixture>>(parallel_slots(options.threads))};
 
-    // --- current sources: DC sweep ------------------------------------------
-    model.i_out = lut::NdTable(axes, "Io");
-    for (const std::string& n : model.internals)
-        model.i_internal.emplace_back(axes, "I_" + n);
-    for (const std::string& p : model.pins)
-        model.c_miller.emplace_back(axes, "Cm_" + p);
-    model.c_out = lut::NdTable(axes, "Co");
-    for (const std::string& n : model.internals)
-        model.c_internal.emplace_back(axes, "C_" + n);
-    for (const std::string& p : model.pins)
-        for (const std::string& n : model.internals)
-            model.c_miller_internal.emplace_back(axes, "Cm_" + p + "_" + n);
+    // --- tables: the model's table list, zero-filled ----------------------
+    // Cin tables are 1-D over their pin on `cin_points` knots; every other
+    // table spans the grid axes.
+    const std::vector<double> cin_knots =
+        make_knots(vdd, dv, options.cin_points);
+    const std::vector<TableRole> roles = model.roles();
+    const std::vector<lut::NdTable*> tables = model.reset_tables();
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        const TableRole& r = roles[i];
+        *tables[i] = r.kind == TableRole::Kind::kInputCap
+                         ? lut::NdTable({lut::Axis(model.pins[r.a], cin_knots)},
+                                        model.table_name(r))
+                         : lut::NdTable(axes, model.table_name(r));
+    }
 
     const std::size_t g_knots = knots.size();
 
-    // Cap tables of the model-linearization shortcut. Node ids come from
+    // Cap rules of the model-linearization shortcut. Node ids come from
     // the main fixture; every slot fixture of the cell numbers them alike.
+    // Pin->internal Millers get rules only with internal_miller (else their
+    // tables stay zero); a grounded cap skips the nodes its node has a
+    // coupling rule with, so Co skips the pins and CN skips them only with
+    // internal_miller (else it absorbs all the stack node's caps, as in the
+    // paper).
     std::vector<CapRule> cap_rules;
     if (!options.transient_caps) {
-        for (std::size_t p = 0; p < n_pins; ++p)
-            cap_rules.push_back(
-                {&model.c_miller[p], fx.pin_nodes[p], fx.out_node, {}});
-        cap_rules.push_back({&model.c_out, fx.out_node, -1, fx.pin_nodes});
-        // When pin->internal Millers are modeled, CN skips the pin
-        // couplings (they get their own tables); otherwise CN absorbs
-        // everything incident to the stack node (the paper's choice).
-        for (std::size_t j = 0; j < n_int; ++j)
-            cap_rules.push_back(
-                {&model.c_internal[j], fx.internal_nodes[j], -1,
-                 options.internal_miller ? fx.pin_nodes : std::vector<int>{}});
-        if (options.internal_miller) {
-            for (std::size_t p = 0; p < n_pins; ++p)
-                for (std::size_t j = 0; j < n_int; ++j)
-                    cap_rules.push_back(
-                        {&model.c_miller_internal[p * n_int + j],
-                         fx.pin_nodes[p], fx.internal_nodes[j], {}});
+        // Ground maps to b < 0: "any node but a and skip" (see CapRule).
+        const auto node = [&](std::size_t d) {
+            return d == TableRole::kGround ? -1 : fx.nodes[d];
+        };
+        const auto coupling = [&](const TableRole& r) {
+            return r.kind == TableRole::Kind::kCap &&
+                   r.b != TableRole::kGround &&
+                   (r.b == model.out_axis() || options.internal_miller);
+        };
+        for (std::size_t i = 0; i < tables.size(); ++i) {
+            const TableRole& r = roles[i];
+            if (!coupling(r) && !r.grounded()) continue;
+            CapRule rule{tables[i], node(r.a), node(r.b), {}};
+            for (const TableRole& c : roles)
+                if (r.grounded() && coupling(c) && c.b == r.a)
+                    rule.skip.push_back(node(c.a));
+            cap_rules.push_back(std::move(rule));
         }
     }
 
@@ -574,12 +559,12 @@ CsmModel Characterizer::characterize(
         const std::size_t nn =
             static_cast<std::size_t>(bfx.circuit.node_count());
         // Current INTO the cell = -(branch current of the forcing source).
-        model.i_out.set_grid_value(
-            idx, -x[nn + static_cast<std::size_t>(bfx.out_branch)]);
-        for (std::size_t j = 0; j < n_int; ++j)
-            model.i_internal[j].set_grid_value(
-                idx,
-                -x[nn + static_cast<std::size_t>(bfx.internal_branches[j])]);
+        for (std::size_t i = 0; i < tables.size(); ++i) {
+            if (roles[i].kind != TableRole::Kind::kCurrent) continue;
+            const auto branch =
+                static_cast<std::size_t>(bfx.branches[roles[i].a]);
+            tables[i]->set_grid_value(idx, -x[nn + branch]);
+        }
 
         // Model-linearization shortcut: each DUT MOSFET's caps at this bias,
         // evaluated once, feed every cap table.
@@ -607,11 +592,8 @@ CsmModel Characterizer::characterize(
         const obs::Span slice_span("char.dc_slice");
         std::vector<spice::VSource*> swept;
         swept.reserve(dim);
-        for (std::size_t p = 0; p < n_pins; ++p)
-            swept.push_back(&bfx.circuit.vsource(bfx.pin_sources[p]));
-        for (std::size_t j = 0; j < n_int; ++j)
-            swept.push_back(&bfx.circuit.vsource(bfx.internal_sources[j]));
-        swept.push_back(&bfx.circuit.vsource(bfx.out_source));
+        for (const std::string& src : bfx.sources)
+            swept.push_back(&bfx.circuit.vsource(src));
 
         // Bounded chunks keep the value/index staging small on the 5-axis
         // slices of 3-pin MCSM models; the chunk size is fixed so chunk
@@ -660,20 +642,20 @@ CsmModel Characterizer::characterize(
         extract_caps_transient(model, fixtures, knots, options);
     }
 
-    // Numerical floors: keep capacitances physical.
-    auto clamp_table = [](lut::NdTable& t, double lo) {
-        t.for_each_grid_point([&](std::span<const std::size_t>,
-                                  std::span<const double>, double& v) {
-            if (v < lo) v = lo;
-        });
-    };
-    for (auto& t : model.c_miller) clamp_table(t, 0.0);
-    clamp_table(model.c_out, 1e-18);
-    for (auto& t : model.c_internal) clamp_table(t, 1e-18);
-    for (auto& t : model.c_miller_internal) clamp_table(t, 0.0);
-
     // --- input (receiver) capacitances ---------------------------------------
     extract_input_caps(model, *lib_, cell, switching_pins, options);
+
+    // Numerical floors keep capacitances physical: a cap to ground floors
+    // at 1e-18 F, a coupling or input cap at zero.
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        if (roles[i].kind == TableRole::Kind::kCurrent) continue;
+        const double lo = roles[i].grounded() ? 1e-18 : 0.0;
+        tables[i]->for_each_grid_point([&](std::span<const std::size_t>,
+                                           std::span<const double>,
+                                           double& v) {
+            if (v < lo) v = lo;
+        });
+    }
 
     model.check_consistent();
     return model;

@@ -43,138 +43,101 @@ CsmCellDevice::CsmCellDevice(std::string name, const CsmModel& model,
                              std::vector<int> pin_nodes,
                              std::vector<int> internal_nodes, int out_node,
                              bool stamp_input_caps)
-    : Device(std::move(name)),
-      model_(&model),
-      pins_(std::move(pin_nodes)),
-      internals_(std::move(internal_nodes)),
-      out_(out_node),
-      input_caps_(stamp_input_caps) {
+    : Device(std::move(name)), model_(&model), nodes_(std::move(pin_nodes)) {
     model.check_consistent();
-    require(pins_.size() == model.pin_count(),
+    require(nodes_.size() == model.pin_count(),
             "CsmCellDevice: pin node count mismatch");
-    require(internals_.size() == model.internal_count(),
+    require(internal_nodes.size() == model.internal_count(),
             "CsmCellDevice: internal node count mismatch");
+    nodes_.insert(nodes_.end(), internal_nodes.begin(), internal_nodes.end());
+    nodes_.push_back(out_node);
+
+    const std::vector<TableRole> roles = model.roles();
+    const std::vector<const lut::NdTable*> tables = model.tables();
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        const TableRole& r = roles[i];
+        Term term{tables[i], r.kind, r.a, r.b, 0};
+        if (r.kind == TableRole::Kind::kCurrent) {
+            currents_.push_back(term);
+            continue;
+        }
+        if (r.kind == TableRole::Kind::kInputCap) {
+            if (!stamp_input_caps) continue;
+            // The pin's Miller cap precedes its input cap in the list.
+            while (caps_[term.miller].a != r.a ||
+                   caps_[term.miller].b != model.out_axis())
+                ++term.miller;
+        }
+        caps_.push_back(term);
+    }
     v_scratch_.resize(model.dim());
     vp_scratch_.resize(model.dim());
     grad_scratch_.resize(model.dim());
-    caps_cache_.cm.resize(model.pin_count());
-    caps_cache_.cn.resize(model.internal_count());
-    caps_cache_.cmn.resize(model.pin_count() * model.internal_count());
-    caps_cache_.ca.resize(input_caps_ ? model.pin_count() : 0);
+    cap_values_.resize(caps_.size());
 }
 
-std::vector<int> CsmCellDevice::terminals() const {
-    std::vector<int> t(pins_);
-    t.insert(t.end(), internals_.begin(), internals_.end());
-    t.push_back(out_);
-    return t;
-}
-
-int CsmCellDevice::state_count() const {
-    // Trapezoidal branch currents: one per Miller cap, one for Co, one per
-    // CN, one per pin->internal Miller, and one per input cap when stamped.
-    return static_cast<int>(model_->pin_count() + 1 +
-                            model_->internal_count() +
-                            model_->pin_count() * model_->internal_count() +
-                            (input_caps_ ? model_->pin_count() : 0));
+int CsmCellDevice::node_of(std::size_t d) const {
+    return d == TableRole::kGround ? spice::Circuit::kGround : nodes_[d];
 }
 
 void CsmCellDevice::gather(const std::vector<double>& x,
                            std::vector<double>& v) const {
-    v.resize(model_->dim());
-    std::size_t d = 0;
-    for (int n : pins_) v[d++] = x[static_cast<std::size_t>(n)];
-    for (int n : internals_) v[d++] = x[static_cast<std::size_t>(n)];
-    v[d] = x[static_cast<std::size_t>(out_)];
+    v.resize(nodes_.size());
+    for (std::size_t d = 0; d < nodes_.size(); ++d)
+        v[d] = x[static_cast<std::size_t>(nodes_[d])];
 }
 
 void CsmCellDevice::stamp(spice::Stamper& st,
                           const spice::SimContext& ctx) const {
-    const std::size_t n_pins = model_->pin_count();
-    const std::size_t n_int = model_->internal_count();
-    const std::size_t dim = model_->dim();
-
     std::vector<double>& v = v_scratch_;
     gather(*ctx.x, v);
     std::vector<double>& grad = grad_scratch_;
     std::fill(grad.begin(), grad.end(), 0.0);
 
-    // Circuit node corresponding to each model axis.
-    auto axis_node = [&](std::size_t d) -> int {
-        if (d < n_pins) return pins_[d];
-        if (d < n_pins + n_int) return internals_[d - n_pins];
-        return out_;
-    };
-
-    // Nonlinear current source I(V) leaving `at`; Jacobian from the exact
-    // gradient of the multilinear interpolant.
-    auto stamp_source = [&](const lut::NdTable& table, int at) {
-        const double i = table.at_with_gradient(v, grad);
+    // Nonlinear current source I(V) into the cell at node a; Jacobian from
+    // the exact gradient of the multilinear interpolant.
+    for (const Term& t : currents_) {
+        const int at = nodes_[t.a];
+        const double i = t.table->at_with_gradient(v, grad);
         double affine = i;
-        for (std::size_t d = 0; d < dim; ++d) {
-            st.add_matrix(at, axis_node(d), grad[d]);
+        for (std::size_t d = 0; d < nodes_.size(); ++d) {
+            st.add_matrix(at, nodes_[d], grad[d]);
             affine -= grad[d] * v[d];
         }
         st.add_source_current(at, spice::Circuit::kGround, affine);
-    };
-
-    stamp_source(model_->i_out, out_);
-    for (std::size_t j = 0; j < n_int; ++j)
-        stamp_source(model_->i_internal[j], internals_[j]);
+    }
 
     if (!ctx.is_tran()) return;
 
-    const StepCaps& caps = step_caps(ctx);
+    const std::vector<double>& caps = step_caps(ctx);
     const auto base = static_cast<std::size_t>(state_base());
     const std::vector<double>& state = *ctx.state;
-    std::size_t slot = 0;
-    for (std::size_t p = 0; p < n_pins; ++p, ++slot)
-        spice::stamp_capacitor(st, ctx, pins_[p], out_, caps.cm[p],
-                               state[base + slot]);
-    spice::stamp_capacitor(st, ctx, out_, spice::Circuit::kGround, caps.co,
-                           state[base + slot]);
-    ++slot;
-    for (std::size_t j = 0; j < n_int; ++j, ++slot)
-        spice::stamp_capacitor(st, ctx, internals_[j], spice::Circuit::kGround,
-                               caps.cn[j], state[base + slot]);
-    for (std::size_t p = 0; p < n_pins; ++p)
-        for (std::size_t j = 0; j < n_int; ++j, ++slot)
-            spice::stamp_capacitor(st, ctx, pins_[p], internals_[j],
-                                   caps.cmn[p * n_int + j],
-                                   state[base + slot]);
-    if (input_caps_) {
-        for (std::size_t p = 0; p < n_pins; ++p, ++slot)
-            spice::stamp_capacitor(st, ctx, pins_[p], spice::Circuit::kGround,
-                                   caps.ca[p], state[base + slot]);
-    }
+    for (std::size_t k = 0; k < caps_.size(); ++k)
+        spice::stamp_capacitor(st, ctx, node_of(caps_[k].a),
+                               node_of(caps_[k].b), caps[k], state[base + k]);
 }
 
-const CsmCellDevice::StepCaps& CsmCellDevice::step_caps(
+const std::vector<double>& CsmCellDevice::step_caps(
     const spice::SimContext& ctx) const {
-    StepCaps& caps = caps_cache_;
-    if (ctx.step_id >= 0 && ctx.step_id == caps.step_id) return caps;
-    caps.step_id = ctx.step_id;
-
-    const std::size_t n_pins = model_->pin_count();
-    const std::size_t n_int = model_->internal_count();
+    std::vector<double>& caps = cap_values_;
+    if (ctx.step_id >= 0 && ctx.step_id == caps_step_id_) return caps;
+    caps_step_id_ = ctx.step_id;
 
     // Evaluated at the previous accepted step (consistent with the MOSFET
     // device treatment).
     std::vector<double>& vp = vp_scratch_;
     gather(*ctx.x_prev, vp);
-    for (std::size_t p = 0; p < n_pins; ++p) caps.cm[p] = model_->cm(p, vp);
-    caps.co = model_->co(vp);
-    for (std::size_t j = 0; j < n_int; ++j) caps.cn[j] = model_->cn(j, vp);
-    for (std::size_t p = 0; p < n_pins; ++p)
-        for (std::size_t j = 0; j < n_int; ++j)
-            caps.cmn[p * n_int + j] = model_->cmn(p, j, vp);
-    if (input_caps_) {
+    for (std::size_t k = 0; k < caps_.size(); ++k) {
+        const Term& t = caps_[k];
+        if (t.kind == TableRole::Kind::kCap) {
+            caps[k] = t.table->at(vp);
+            continue;
+        }
         // The 1-D c_in tables are extracted with the output tied, so they
         // already contain the pin->out Miller part; the grounded component
-        // of eq. (3) is CA = c_in - Cm (the Miller cap is stamped above).
-        for (std::size_t p = 0; p < n_pins; ++p)
-            caps.ca[p] =
-                std::max(0.0, model_->cin(p, vp[p]) - caps.cm[p]);
+        // of eq. (3) is CA = c_in - Cm (the Miller cap is its own term).
+        const std::span<const double> vin(&vp[t.a], 1);
+        caps[k] = std::max(0.0, t.table->at(vin) - caps[t.miller]);
     }
     return caps;
 }
@@ -182,12 +145,10 @@ const CsmCellDevice::StepCaps& CsmCellDevice::step_caps(
 void CsmCellDevice::commit(const spice::SimContext& ctx,
                            std::span<double> state_next) const {
     if (!ctx.is_tran()) return;
-    const std::size_t n_pins = model_->pin_count();
-    const std::size_t n_int = model_->internal_count();
 
     // step_caps gathers x_prev into vp_scratch_ (or reuses the cached step
     // linearization from the Newton iterations of this step).
-    const StepCaps& caps = step_caps(ctx);
+    const std::vector<double>& caps = step_caps(ctx);
     std::vector<double>& v = v_scratch_;
     std::vector<double>& vp = vp_scratch_;
     gather(*ctx.x, v);
@@ -195,28 +156,14 @@ void CsmCellDevice::commit(const spice::SimContext& ctx,
     const auto base = static_cast<std::size_t>(state_base());
     const std::vector<double>& state = *ctx.state;
 
-    auto update = [&](std::size_t slot, double c, double v_now,
-                      double v_prev) {
-        state_next[base + slot] = spice::capacitor_current(
-            ctx, c, v_now, v_prev, state[base + slot]);
+    // Voltage across a cap term (v_a - v_b, or v_a against ground).
+    const auto across = [](const std::vector<double>& u, const Term& t) {
+        return t.b == TableRole::kGround ? u[t.a] : u[t.a] - u[t.b];
     };
-
-    const std::size_t out_d = model_->out_axis();
-    std::size_t slot = 0;
-    for (std::size_t p = 0; p < n_pins; ++p, ++slot)
-        update(slot, caps.cm[p], v[p] - v[out_d], vp[p] - vp[out_d]);
-    update(slot, caps.co, v[out_d], vp[out_d]);
-    ++slot;
-    for (std::size_t j = 0; j < n_int; ++j, ++slot)
-        update(slot, caps.cn[j], v[n_pins + j], vp[n_pins + j]);
-    for (std::size_t p = 0; p < n_pins; ++p)
-        for (std::size_t j = 0; j < n_int; ++j, ++slot)
-            update(slot, caps.cmn[p * n_int + j], v[p] - v[n_pins + j],
-                   vp[p] - vp[n_pins + j]);
-    if (input_caps_) {
-        for (std::size_t p = 0; p < n_pins; ++p, ++slot)
-            update(slot, caps.ca[p], v[p], vp[p]);
-    }
+    for (std::size_t k = 0; k < caps_.size(); ++k)
+        state_next[base + k] = spice::capacitor_current(
+            ctx, caps[k], across(v, caps_[k]), across(vp, caps_[k]),
+            state[base + k]);
 }
 
 LutCapDevice::LutCapDevice(std::string name, const lut::NdTable& table,

@@ -19,6 +19,11 @@
 
 namespace mcsm::core {
 
+// The device walks the model's table list (core/model.h) once, in its
+// constructor, and binds every table to circuit nodes as a term: a current
+// source, or a capacitor with one state slot (its trapezoidal branch
+// current). stamp() stamps the current terms, then the cap terms in list
+// order; commit() updates slot k from cap term k.
 class CsmCellDevice : public spice::Device {
 public:
     // `pin_nodes` follow model.pins order; `internal_nodes` follow
@@ -30,46 +35,52 @@ public:
                   std::vector<int> pin_nodes, std::vector<int> internal_nodes,
                   int out_node, bool stamp_input_caps = false);
 
-    int state_count() const override;
-    std::vector<int> terminals() const override;
+    int state_count() const override {
+        return static_cast<int>(caps_.size());
+    }
+    // The nodes of the model axes: [pins..., internals..., out].
+    std::vector<int> terminals() const override { return nodes_; }
     void stamp(spice::Stamper& st, const spice::SimContext& ctx) const override;
     void commit(const spice::SimContext& ctx,
                 std::span<double> state_next) const override;
 
     const CsmModel& model() const { return *model_; }
-    int out_node() const { return out_; }
-    const std::vector<int>& internal_nodes() const { return internals_; }
 
 private:
-    // Gathers [pins..., internals..., out] voltages from a solution vector.
+    // One table bound to the circuit: a current into node a, or a cap
+    // between nodes a and b, as model axes (b = TableRole::kGround for a
+    // grounded cap). An input cap subtracts its pin's Miller cap term.
+    struct Term {
+        const lut::NdTable* table;
+        TableRole::Kind kind;
+        std::size_t a;
+        std::size_t b;
+        std::size_t miller;  // input caps: index of the Miller cap term
+    };
+
+    // Circuit node of model axis d; ground for TableRole::kGround.
+    int node_of(std::size_t d) const;
+    // Gathers the model-axis voltages from a solution vector.
     void gather(const std::vector<double>& x, std::vector<double>& v) const;
 
-    // Capacitance tables evaluated at the previous accepted solution,
-    // cached per transient step (shared by every Newton iteration and the
-    // commit; each value is a multilinear interpolation over 2^dim table
-    // corners). Keyed on SimContext::step_id.
-    struct StepCaps {
-        long long step_id = -1;
-        std::vector<double> cm;   // pin -> out Miller, per pin
-        double co = 0.0;
-        std::vector<double> cn;   // per internal node
-        std::vector<double> cmn;  // pin -> internal Miller, [p * n_int + j]
-        std::vector<double> ca;   // grounded input component, per pin
-    };
-    const StepCaps& step_caps(const spice::SimContext& ctx) const;
+    // Every cap term's value at the previous accepted solution, cached per
+    // transient step (shared by every Newton iteration and the commit; each
+    // value is a multilinear interpolation over 2^dim table corners). Keyed
+    // on SimContext::step_id.
+    const std::vector<double>& step_caps(const spice::SimContext& ctx) const;
 
     const CsmModel* model_;  // non-owning; outlives the circuit
-    std::vector<int> pins_;
-    std::vector<int> internals_;
-    int out_;
-    bool input_caps_;
+    std::vector<int> nodes_;  // per model axis
+    std::vector<Term> currents_;
+    std::vector<Term> caps_;  // state slot k belongs to caps_[k]
     // Scratch for stamp()/commit(), preallocated so the Newton inner loop
     // stays allocation-free. A device belongs to one circuit and circuits
     // solve single-threaded, so plain mutable members are safe.
     mutable std::vector<double> v_scratch_;
     mutable std::vector<double> vp_scratch_;
     mutable std::vector<double> grad_scratch_;
-    mutable StepCaps caps_cache_;
+    mutable std::vector<double> cap_values_;
+    mutable long long caps_step_id_ = -1;
 };
 
 // A 1-D voltage-dependent grounded capacitor C(v), used for receiver input
@@ -92,7 +103,7 @@ private:
     int node_;
     double scale_;
     // Per-step cache of the table lookup at the previous accepted solution
-    // (keyed on SimContext::step_id, see CsmCellDevice::StepCaps).
+    // (keyed on SimContext::step_id, as in CsmCellDevice::step_caps).
     mutable long long cap_step_id_ = -1;
     mutable double cap_cache_ = 0.0;
 };

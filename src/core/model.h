@@ -11,6 +11,20 @@
 // Current sign convention: Io / IN are the currents flowing from the node
 // INTO the cell (positive current discharges the node), matching the signs
 // in the paper's eqs. (1), (2), (4), (5).
+//
+// The table list. A model is one family of lookup tables over those
+// voltages. Every walk over a model's tables (the CSM device, both model
+// formats, the audit, the characterizer) goes through one list, in one
+// canonical order, which is the pack payload and text export order. With
+// p pins and k internal nodes it holds (names for pin A, internal node N):
+//   Io      1    current into the cell at out
+//   I_N     k    current into the cell at N
+//   Cm_A    p    cap between A and out (Miller)
+//   Co      1    cap between out and ground
+//   C_N     k    cap between N and ground
+//   Cm_A_N  p*k  cap between A and N; pin i, node j at [i * k + j]
+//   Cin_A   p    receiver input cap of A, 1-D over A's voltage
+// Every table but Cin is D-dimensional and shares i_out's axes.
 #ifndef MCSM_CORE_MODEL_H
 #define MCSM_CORE_MODEL_H
 
@@ -26,6 +40,26 @@ namespace mcsm::core {
 enum class ModelKind { kSis, kMisBaseline, kMcsm };
 
 const char* to_string(ModelKind kind);
+
+// One table's role: what it models and the nodes it joins, as axis
+// indices into [pins..., internals..., out]. A current enters the cell at
+// node a, a cap joins nodes a and b, an input cap loads pin a.
+struct TableRole {
+    enum class Kind { kCurrent, kCap, kInputCap };
+    static constexpr std::size_t kGround = static_cast<std::size_t>(-1);
+
+    Kind kind;
+    std::size_t a;
+    std::size_t b = kGround;  // a cap's second node, or ground
+
+    // A cap between node a and ground (Co, C_N).
+    bool grounded() const { return kind == Kind::kCap && b == kGround; }
+};
+
+// The roles in list order for `pins` pins and `internals` internal nodes:
+// the count-only form, for loaders that validate a payload before a model
+// exists. Throws ModelError past lut::TableView::kMaxRank.
+std::vector<TableRole> table_roles(std::size_t pins, std::size_t internals);
 
 struct CsmModel {
     ModelKind kind = ModelKind::kMcsm;
@@ -63,10 +97,23 @@ struct CsmModel {
     // Rank of the D-dimensional tables: pins + internals + 1 (output).
     std::size_t dim() const { return pins.size() + internals.size() + 1; }
     std::size_t out_axis() const { return dim() - 1; }
-    std::size_t internal_axis(std::size_t j) const { return pins.size() + j; }
 
-    // Validates table ranks/axis counts against the declared pins/internals.
+    // Validates the table counts against the pins/internals; every Cin
+    // table must be 1-D and every other share i_out's axes bit for bit.
     void check_consistent() const;
+
+    // --- the table list (see the file comment) ---------------------------
+    std::vector<TableRole> roles() const {
+        return table_roles(pin_count(), internal_count());
+    }
+    // Every table in list order, parallel to roles(). Throws ModelError
+    // when a family's count disagrees with the pins/internals.
+    std::vector<const lut::NdTable*> tables() const;
+    // Replaces every table with an empty one, one per role, and returns
+    // them in list order for a loader or the characterizer to fill.
+    std::vector<lut::NdTable*> reset_tables();
+    // The canonical name of the table with `role` (Io, I_N, Cm_A, ...).
+    std::string table_name(const TableRole& role) const;
 
     // --- queries -----------------------------------------------------------
     // v has dim() entries ordered [pins..., internals..., out].

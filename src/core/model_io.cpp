@@ -57,13 +57,7 @@ void write_model(std::ostream& os, const CsmModel& model) {
     for (const auto& n : model.internals) os << ' ' << n;
     os << '\n';
 
-    lut::write_table(os, model.i_out);
-    for (const auto& t : model.i_internal) lut::write_table(os, t);
-    for (const auto& t : model.c_miller) lut::write_table(os, t);
-    lut::write_table(os, model.c_out);
-    for (const auto& t : model.c_internal) lut::write_table(os, t);
-    for (const auto& t : model.c_miller_internal) lut::write_table(os, t);
-    for (const auto& t : model.c_in) lut::write_table(os, t);
+    for (const lut::NdTable* t : model.tables()) lut::write_table(os, *t);
     os << "endmodel\n";
 }
 
@@ -129,18 +123,7 @@ CsmModel read_model(std::istream& is) {
     for (auto& s : m.internals)
         require(static_cast<bool>(is >> s), "read_model: truncated internals");
 
-    m.i_out = lut::read_table(is);
-    for (std::size_t j = 0; j < m.internals.size(); ++j)
-        m.i_internal.push_back(lut::read_table(is));
-    for (std::size_t p = 0; p < m.pins.size(); ++p)
-        m.c_miller.push_back(lut::read_table(is));
-    m.c_out = lut::read_table(is);
-    for (std::size_t j = 0; j < m.internals.size(); ++j)
-        m.c_internal.push_back(lut::read_table(is));
-    for (std::size_t k = 0; k < m.pins.size() * m.internals.size(); ++k)
-        m.c_miller_internal.push_back(lut::read_table(is));
-    for (std::size_t p = 0; p < m.pins.size(); ++p)
-        m.c_in.push_back(lut::read_table(is));
+    for (lut::NdTable* t : m.reset_tables()) *t = lut::read_table(is);
 
     require(static_cast<bool>(is >> word) && word == "endmodel",
             "read_model: missing endmodel");

@@ -16,12 +16,4 @@ Axis Axis::uniform(std::string name, double lo, double hi, std::size_t n) {
     return Axis(std::move(name), linspace(lo, hi, n));
 }
 
-Axis::Locate Axis::locate(double x) const {
-    const std::size_t i = bracket(knots_, x);
-    const double x0 = knots_[i];
-    const double x1 = knots_[i + 1];
-    const double u = clamp((x - x0) / (x1 - x0), 0.0, 1.0);
-    return {i, u};
-}
-
 }  // namespace mcsm::lut

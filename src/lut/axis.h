@@ -22,15 +22,6 @@ public:
     double lo() const { return knots_.front(); }
     double hi() const { return knots_.back(); }
 
-    // Segment index i with knots[i] <= x < knots[i+1], clamped to the range;
-    // also returns the normalized position u in [0,1] within the segment
-    // (clamped, so queries outside the axis hold the end values).
-    struct Locate {
-        std::size_t index;
-        double u;
-    };
-    Locate locate(double x) const;
-
 private:
     std::string name_;
     std::vector<double> knots_;

@@ -9,9 +9,10 @@ namespace mcsm::lut {
 
 namespace {
 
-// Segment locate over a borrowed knot span; identical arithmetic to
-// Axis::locate (common::bracket + clamped normalized position) so a view
-// and the owning table pick the same cell and weights for every x.
+// The kernel's one segment locate (NdTable::at evaluates through a view
+// too): index i with knots[i] <= x < knots[i+1], clamped to the range, and
+// the normalized position u in [0,1] within the segment (clamped, so
+// queries outside the axis hold the end values).
 struct Locate {
     std::size_t index;
     double u;

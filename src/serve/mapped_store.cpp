@@ -236,14 +236,13 @@ MappedModel read_model(MapCursor& c) {
     require(p >= 1, "mapped_store: model has no switching pin");
     require(m.kind == core::ModelKind::kMcsm || k == 0,
             "mapped_store: only MCSM models carry internal nodes");
-    // i_out, i_internal[k], c_miller[p], c_out, c_internal[k],
-    // c_miller_internal[p*k] share rank p + k + 1; the trailing c_in[p]
-    // are 1-D. No reserve: p*k comes from parsed counts, and a truncated
-    // payload fails within a few reads.
-    const std::size_t ntables = 2 + 2 * k + 2 * p + p * k;
-    for (std::size_t i = 0; i < ntables; ++i) {
+    // The model's table list (core/model.h): Cin tables are 1-D, the rest
+    // share rank p + k + 1. table_roles bounds p + k by the table rank
+    // limit before it sizes anything from these parsed counts.
+    for (const core::TableRole& role : core::table_roles(p, k)) {
         m.tables.push_back(read_table_view(c));
-        const std::size_t rank = i + p >= ntables ? 1 : p + k + 1;
+        const std::size_t rank =
+            role.kind == core::TableRole::Kind::kInputCap ? 1 : p + k + 1;
         require(m.tables.back().rank() == rank,
                 "mapped_store: model table '" +
                     std::string(m.tables.back().name()) +
@@ -281,13 +280,7 @@ std::string encode_model(const core::CsmModel& model) {
     put_strings(model.fixed_pins);
     put_f64_array(buf, model.fixed_values);
     put_strings(model.internals);
-    put_table(buf, model.i_out);
-    for (const auto& t : model.i_internal) put_table(buf, t);
-    for (const auto& t : model.c_miller) put_table(buf, t);
-    put_table(buf, model.c_out);
-    for (const auto& t : model.c_internal) put_table(buf, t);
-    for (const auto& t : model.c_miller_internal) put_table(buf, t);
-    for (const auto& t : model.c_in) put_table(buf, t);
+    for (const lut::NdTable* t : model.tables()) put_table(buf, *t);
     return buf;
 }
 
@@ -564,20 +557,10 @@ core::CsmModel MappedPack::materialize_model(const std::string& name) const {
     m.fixed_pins.assign(e.fixed_pins.begin(), e.fixed_pins.end());
     m.fixed_values.assign(e.fixed_values.begin(), e.fixed_values.end());
     m.internals.assign(e.internals.begin(), e.internals.end());
-    // Tables in payload order (see the layout in the header).
-    auto next = e.tables.begin();
-    const auto take = [&](std::vector<lut::NdTable>& out, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) out.emplace_back(*next++);
-    };
-    const std::size_t p = m.pins.size();
-    const std::size_t k = m.internals.size();
-    m.i_out = lut::NdTable(*next++);
-    take(m.i_internal, k);
-    take(m.c_miller, p);
-    m.c_out = lut::NdTable(*next++);
-    take(m.c_internal, k);
-    take(m.c_miller_internal, p * k);
-    take(m.c_in, p);
+    // Payload order is list order; map() checked the count.
+    const std::vector<lut::NdTable*> tables = m.reset_tables();
+    for (std::size_t i = 0; i < tables.size(); ++i)
+        *tables[i] = lut::NdTable(e.tables[i]);
     m.check_consistent();
     return m;
 }

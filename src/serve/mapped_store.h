@@ -36,9 +36,8 @@
 //                              cell name, pins, fixed pins (count u64 +
 //                              strings each), fixed values (count u64 +
 //                              f64[]), internals (count u64 + strings),
-//                              then the tables i_out, i_internal[k],
-//                              c_miller[p], c_out, c_internal[k],
-//                              c_miller_internal[p*k], c_in[p]
+//                              then every table in the model's list
+//                              order (core::table_roles, core/model.h)
 //            surface payload = arc_id, dt f64, settle f64, model_check u64,
 //                              then the delay and slew tables
 //   dir      entry records {kind u32, name_len u32, name_off u64,
@@ -109,7 +108,7 @@ struct MappedModel {
     std::vector<std::string_view> fixed_pins;
     std::span<const double> fixed_values;
     std::vector<std::string_view> internals;
-    std::vector<lut::TableView> tables;  // payload order
+    std::vector<lut::TableView> tables;  // list order (core::table_roles)
     std::uint64_t check = 0;             // content_check (model_checksum)
 };
 

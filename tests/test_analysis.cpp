@@ -307,6 +307,24 @@ TEST(CircuitLint, AllLibraryCellsLintClean) {
 
 // --- model audit ---------------------------------------------------------
 
+// Builds every table of `m` through the model's table list: the
+// D-dimensional ones over `axes`, each Cin over its pin on `pin_knots`.
+void build_tables(core::CsmModel& m, const std::vector<lut::Axis>& axes,
+                  const std::vector<double>& pin_knots) {
+    const std::vector<core::TableRole> roles = m.roles();
+    const std::vector<lut::NdTable*> tables = m.reset_tables();
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        const core::TableRole& r = roles[i];
+        *tables[i] =
+            r.kind == core::TableRole::Kind::kInputCap
+                ? lut::NdTable({lut::Axis(m.pins[r.a], pin_knots)},
+                               m.table_name(r))
+                : lut::NdTable(axes, m.table_name(r));
+    }
+}
+
+const std::vector<double> kRailKnots = {-0.12, 0.0, 0.6, 1.2, 1.32};
+
 // Minimal shape-consistent SIS model with rail-covering axes; the knobs
 // let each test seed exactly one defect.
 core::CsmModel make_sis_model(double vdd = 1.2) {
@@ -316,13 +334,8 @@ core::CsmModel make_sis_model(double vdd = 1.2) {
     m.vdd = vdd;
     m.dv_margin = 0.12;
     m.pins = {"A"};
-    const std::vector<double> knots = {-0.12, 0.0, 0.6, 1.2, 1.32};
-    const lut::Axis va("A", knots);
-    const lut::Axis vo("out", knots);
-    m.i_out = lut::NdTable({va, vo}, "Io");
-    m.c_miller = {lut::NdTable({va, vo}, "Cm_A")};
-    m.c_out = lut::NdTable({va, vo}, "Co");
-    m.c_in = {lut::NdTable({va}, "Cin_A")};
+    build_tables(m, {lut::Axis("A", kRailKnots), lut::Axis("out", kRailKnots)},
+                 kRailKnots);
     return m;
 }
 
@@ -330,11 +343,27 @@ core::CsmModel make_sis_model(double vdd = 1.2) {
 // 0.9 V: the shape is consistent, but the 1.2 V rail is outside the grid.
 core::CsmModel make_short_out_model() {
     core::CsmModel m = make_sis_model();
-    const lut::Axis va = m.i_out.axis(0);
-    const lut::Axis vo_short("out", {0.0, 0.45, 0.9});
-    m.i_out = lut::NdTable({va, vo_short}, "Io");
-    m.c_miller = {lut::NdTable({va, vo_short}, "Cm_A")};
-    m.c_out = lut::NdTable({va, vo_short}, "Co");
+    build_tables(m,
+                 {lut::Axis("A", kRailKnots),
+                  lut::Axis("out", {0.0, 0.45, 0.9})},
+                 kRailKnots);
+    return m;
+}
+
+// Two-pin MCSM model with one stack node N: every family of the list
+// holds at least one table.
+core::CsmModel make_mcsm_model() {
+    core::CsmModel m;
+    m.kind = core::ModelKind::kMcsm;
+    m.cell_name = "TEST_NAND2";
+    m.vdd = 1.2;
+    m.dv_margin = 0.12;
+    m.pins = {"A", "B"};
+    m.internals = {"N"};
+    build_tables(m,
+                 {lut::Axis("A", kRailKnots), lut::Axis("B", kRailKnots),
+                  lut::Axis("N", kRailKnots), lut::Axis("out", kRailKnots)},
+                 kRailKnots);
     return m;
 }
 
@@ -363,8 +392,10 @@ TEST(ModelAudit, RequireCleanThrowsWithContext) {
 }
 
 TEST(ModelAudit, KnotCoverageFires) {
+    // The short axis is shared by every 2-D table: one diagnostic.
     const LintReport report = audit_model(make_short_out_model());
     EXPECT_TRUE(report.fired("model.knot-coverage")) << report.format();
+    EXPECT_EQ(report.size(), 1u) << report.format();
 }
 
 TEST(ModelAudit, PhysicalRangeFires) {
@@ -400,6 +431,31 @@ TEST(ModelAudit, NegativeCapacitanceWarns) {
     EXPECT_TRUE(report.fired("model.negative-capacitance"))
         << report.format();
     EXPECT_EQ(report.error_count(), 0u);  // warning, not rejection
+}
+
+TEST(ModelAudit, NegativeStackNodeCapacitanceWarns) {
+    core::CsmModel m = make_mcsm_model();
+    ASSERT_TRUE(audit_model(m).empty()) << audit_model(m).format();
+    m.c_internal[0].set_grid_value(std::vector<std::size_t>{1, 1, 1, 1},
+                                   -1e-15);
+    const LintReport report = audit_model(m);
+    const auto warnings = report.by_rule("model.negative-capacitance");
+    ASSERT_EQ(warnings.size(), 1u) << report.format();
+    EXPECT_NE(warnings[0]->message.find("C_N"), std::string::npos)
+        << warnings[0]->message;
+    EXPECT_EQ(report.size(), 1u) << report.format();
+}
+
+TEST(ModelAudit, LabelsTablesByCanonicalName) {
+    core::CsmModel m = make_mcsm_model();
+    m.c_miller_internal[0].set_grid_value(
+        std::vector<std::size_t>{2, 2, 2, 2}, std::nan(""));
+    const LintReport report = audit_model(m);
+    const auto errors = report.by_rule("table.nonfinite-value");
+    ASSERT_EQ(errors.size(), 1u) << report.format();
+    EXPECT_NE(errors[0]->message.find("'TEST_NAND2.Cm_A_N'"),
+              std::string::npos)
+        << errors[0]->message;
 }
 
 // --- surface audit -------------------------------------------------------

@@ -352,33 +352,38 @@ TEST(Characterizer, ShortcutSweepBitwiseAcrossThreadCounts) {
     const cells::CellLibrary lib(t);
     const core::Characterizer chr(lib);
 
-    core::CharOptions opt;
-    opt.grid_points = 5;
-    opt.transient_caps = false;
-    opt.threads = 1;
-    const core::CsmModel serial =
-        chr.characterize("NOR2", core::ModelKind::kMcsm, {"A", "B"}, opt);
-    opt.threads = 3;
-    const core::CsmModel parallel =
-        chr.characterize("NOR2", core::ModelKind::kMcsm, {"A", "B"}, opt);
-
     auto same = [](const lut::NdTable& a, const lut::NdTable& b) {
         ASSERT_EQ(a.value_count(), b.value_count());
         for (std::size_t i = 0; i < a.value_count(); ++i)
             EXPECT_EQ(a.values()[i], b.values()[i]) << a.name() << "[" << i
                                                     << "]";
     };
-    same(serial.i_out, parallel.i_out);
-    same(serial.c_out, parallel.c_out);
-    ASSERT_EQ(serial.i_internal.size(), parallel.i_internal.size());
-    for (std::size_t j = 0; j < serial.i_internal.size(); ++j)
-        same(serial.i_internal[j], parallel.i_internal[j]);
-    ASSERT_EQ(serial.c_miller.size(), parallel.c_miller.size());
-    for (std::size_t p = 0; p < serial.c_miller.size(); ++p)
-        same(serial.c_miller[p], parallel.c_miller[p]);
-    ASSERT_EQ(serial.c_in.size(), parallel.c_in.size());
-    for (std::size_t p = 0; p < serial.c_in.size(); ++p)
-        same(serial.c_in[p], parallel.c_in[p]);
+    // Every table of the list. NAND3 A-B-C adds two stack nodes and six
+    // pin->stack Miller tables, filled from each slot's own cap buffers.
+    struct Arc {
+        const char* cell;
+        std::vector<std::string> pins;
+        std::size_t grid_points;
+        std::size_t table_count;
+    };
+    for (const Arc& arc : {Arc{"NOR2", {"A", "B"}, 5, 10},
+                           Arc{"NAND3", {"A", "B", "C"}, 4, 18}}) {
+        core::CharOptions opt;
+        opt.grid_points = arc.grid_points;
+        opt.transient_caps = false;
+        opt.threads = 1;
+        const core::CsmModel serial =
+            chr.characterize(arc.cell, core::ModelKind::kMcsm, arc.pins, opt);
+        opt.threads = 3;
+        const core::CsmModel parallel =
+            chr.characterize(arc.cell, core::ModelKind::kMcsm, arc.pins, opt);
+
+        const std::vector<const lut::NdTable*> a = serial.tables();
+        const std::vector<const lut::NdTable*> b = parallel.tables();
+        ASSERT_EQ(a.size(), arc.table_count) << arc.cell;
+        ASSERT_EQ(b.size(), arc.table_count) << arc.cell;
+        for (std::size_t i = 0; i < a.size(); ++i) same(*a[i], *b[i]);
+    }
 }
 
 // ---- SIMD lane tier -----------------------------------------------------

@@ -13,20 +13,32 @@
 namespace mcsm::lut {
 namespace {
 
-TEST(Axis, LocateClampsAndNormalizes) {
-    Axis ax("v", {0.0, 1.0, 3.0});
-    auto loc = ax.locate(0.5);
-    EXPECT_EQ(loc.index, 0u);
-    EXPECT_DOUBLE_EQ(loc.u, 0.5);
-    loc = ax.locate(2.0);
-    EXPECT_EQ(loc.index, 1u);
-    EXPECT_DOUBLE_EQ(loc.u, 0.5);
-    loc = ax.locate(-10.0);
-    EXPECT_EQ(loc.index, 0u);
-    EXPECT_DOUBLE_EQ(loc.u, 0.0);
-    loc = ax.locate(10.0);
-    EXPECT_EQ(loc.index, 1u);
-    EXPECT_DOUBLE_EQ(loc.u, 1.0);
+// The kernel's segment locate, seen through a 1-D table whose values are
+// the knot indices: at() returns index + u, and the gradient is the
+// located segment's slope 1/h.
+TEST(NdTable, LocateClampsAndNormalizes) {
+    NdTable t({Axis("v", {0.0, 1.0, 3.0})}, "index");
+    for (std::size_t i = 0; i < 3; ++i) {
+        const std::size_t idx[1] = {i};
+        t.set_grid_value(idx, static_cast<double>(i));
+    }
+    const auto locate = [&](double x, double& slope) {
+        const double q[1] = {x};
+        double g[1] = {0.0};
+        const double v = t.at_with_gradient(q, g);
+        EXPECT_EQ(t.at(q), v);
+        slope = g[0];
+        return v;
+    };
+    double slope = 0.0;
+    EXPECT_DOUBLE_EQ(locate(0.5, slope), 0.5);  // segment 0, u = 0.5
+    EXPECT_DOUBLE_EQ(slope, 1.0);
+    EXPECT_DOUBLE_EQ(locate(2.0, slope), 1.5);  // segment 1, u = 0.5
+    EXPECT_DOUBLE_EQ(slope, 0.5);
+    EXPECT_DOUBLE_EQ(locate(-10.0, slope), 0.0);  // clamped: segment 0, u = 0
+    EXPECT_DOUBLE_EQ(slope, 1.0);
+    EXPECT_DOUBLE_EQ(locate(10.0, slope), 2.0);  // clamped: segment 1, u = 1
+    EXPECT_DOUBLE_EQ(slope, 0.5);
 }
 
 TEST(Axis, RejectsBadKnots) {

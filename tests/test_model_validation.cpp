@@ -82,6 +82,43 @@ TEST(CharacterizerValidation, RejectsTinyGrid) {
                  ModelError);
 }
 
+// --- the model's table list -------------------------------------------------
+
+TEST(ModelTableList, CanonicalOrderRolesAndNames) {
+    const CsmModel& m = Shared::get().nor;  // pins A, B; stack node N
+    const std::vector<std::string> names = {
+        "Io", "I_N", "Cm_A", "Cm_B", "Co", "C_N", "Cm_A_N", "Cm_B_N",
+        "Cin_A", "Cin_B"};
+    const std::vector<TableRole> roles = m.roles();
+    const std::vector<const lut::NdTable*> tables = m.tables();
+    ASSERT_EQ(roles.size(), names.size());
+    ASSERT_EQ(tables.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(m.table_name(roles[i]), names[i]);
+        EXPECT_EQ(tables[i]->name(), names[i]);  // the characterizer's
+    }
+    // Axes: A = 0, B = 1, N = 2, out = 3.
+    EXPECT_EQ(roles[1].kind, TableRole::Kind::kCurrent);
+    EXPECT_EQ(roles[1].a, 2u);
+    EXPECT_TRUE(roles[4].grounded());
+    EXPECT_EQ(roles[4].a, 3u);
+    EXPECT_EQ(roles[7].kind, TableRole::Kind::kCap);
+    EXPECT_EQ(roles[7].a, 1u);
+    EXPECT_EQ(roles[7].b, 2u);
+    EXPECT_EQ(roles[9].kind, TableRole::Kind::kInputCap);
+    EXPECT_EQ(roles[9].a, 1u);
+}
+
+TEST(ModelTableList, CountOnlyFormBoundsTheRank) {
+    EXPECT_EQ(table_roles(3, 2).size(), 18u);  // NAND3 A-B-C
+    // Rank 9 is past what a table view evaluates: rejected before any
+    // list is sized from the counts.
+    EXPECT_THROW(table_roles(5, 3), ModelError);
+    CsmModel m = Shared::get().inv;
+    m.pins.resize(9);
+    EXPECT_THROW(m.reset_tables(), ModelError);
+}
+
 // --- model structural validation --------------------------------------------
 
 TEST(ModelValidation, DetectsRankMismatch) {

@@ -1,7 +1,7 @@
 // Serving-layer benchmark and correctness gates: the single-entry model
-// pack vs the text export (size, cold-load latency, bit-exact round
-// trips), TimingService batch throughput (LUT fast path, exact transient
-// path, serial-vs-parallel determinism), the 3-pin MIS arc path (6-D
+// pack (size, cold-load latency, bit-exact round trip), TimingService
+// batch throughput (LUT fast path, exact transient path,
+// serial-vs-parallel determinism), the 3-pin MIS arc path (6-D
 // characterize-on-miss + surface build + warm throughput), the RC pi-load
 // path (throughput + a loose LUT-vs-exact sanity gate; the tight 5% gate
 // lives in test_serve_golden) and the socket front end (4 concurrent
@@ -29,7 +29,6 @@
 #include "bench_util.h"
 #include "common/parallel.h"
 #include "core/characterizer.h"
-#include "core/model_io.h"
 #include "net/client.h"
 #include "net/query_text.h"
 #include "net/server.h"
@@ -112,38 +111,27 @@ int main() {
     const fs::path dir = "serve_store_bench";
     fs::remove_all(dir);
     fs::create_directories(dir);
-    const std::string text_path = (dir / "nor.csm").string();
     const std::string pack_path = (dir / "nor.mcsmpack").string();
     const std::string nor_key =
         serve::ModelKey::arc("NOR2", {"A", "B"}).to_string();
 
     // --- model store: size, cold load, fidelity --------------------------
-    core::save_model(text_path, nor);
     {
         serve::PackWriter writer;
         writer.add_model(nor_key, nor);
         writer.write(pack_path);
     }
-    const auto text_bytes = fs::file_size(text_path);
     const auto pack_bytes = fs::file_size(pack_path);
     const auto load_pack = [&] {
         return serve::MappedPack::map(pack_path)->materialize_model(nor_key);
     };
 
-    const double load_text_ms =
-        best_of(3, [&] { (void)core::load_model(text_path); });
     const double load_pack_ms = best_of(3, [&] { (void)load_pack(); });
 
-    const std::string nor_bytes = serve::encode_model(nor);
-    check.check(serve::encode_model(load_pack()) == nor_bytes,
+    check.check(serve::encode_model(load_pack()) == serve::encode_model(nor),
                 "pack store round trip is bit-exact");
-    check.check(serve::encode_model(core::load_model(text_path)) == nor_bytes,
-                "text export round trip is bit-exact (hexfloat)");
-    check.check(pack_bytes < text_bytes,
-                "single-entry pack is smaller than the text export");
-    // The cold-load latency comparison is reported (below and in the JSON)
-    // but not gated: sub-ms wall clocks are noise-dominated on shared CI
-    // runners.
+    // The cold-load latency is reported (below and in the JSON) but not
+    // gated: sub-ms wall clocks are noise-dominated on shared CI runners.
 
     // --- timing service: surface build + warm batch throughput -----------
     serve::RepositoryOptions ropt;
@@ -472,13 +460,8 @@ int main() {
     fs::remove_all(dir);
 
     // --- report ----------------------------------------------------------
-    std::printf("# store: text export %zu B, pack %zu B (%.2fx smaller); "
-                "cold load text %.3f ms, pack %.3f ms (%.1fx faster)\n",
-                static_cast<std::size_t>(text_bytes),
-                static_cast<std::size_t>(pack_bytes),
-                static_cast<double>(text_bytes) /
-                    static_cast<double>(pack_bytes),
-                load_text_ms, load_pack_ms, load_text_ms / load_pack_ms);
+    std::printf("# store: single-entry pack %zu B, cold load %.3f ms\n",
+                static_cast<std::size_t>(pack_bytes), load_pack_ms);
     std::printf("# serve: surfaces built in %.1f ms; warm LUT batch %zu "
                 "queries -> %.0f q/s (%zu threads), %.0f q/s serial; exact "
                 "transient path %.0f q/s\n",
@@ -507,15 +490,10 @@ int main() {
             return 1;
         }
         std::fprintf(f, "{\n  \"threads\": %zu,\n", hardware_threads());
-        std::fprintf(
-            f,
-            "  \"model_store\": {\"text_bytes\": %zu, \"pack_bytes\": "
-            "%zu, \"size_ratio\": %.3f, \"cold_load_text_ms\": %.4f, "
-            "\"cold_load_pack_ms\": %.4f, \"load_speedup\": %.2f},\n",
-            static_cast<std::size_t>(text_bytes),
-            static_cast<std::size_t>(pack_bytes),
-            static_cast<double>(text_bytes) / static_cast<double>(pack_bytes),
-            load_text_ms, load_pack_ms, load_text_ms / load_pack_ms);
+        std::fprintf(f,
+                     "  \"model_store\": {\"pack_bytes\": %zu, "
+                     "\"cold_load_pack_ms\": %.4f},\n",
+                     static_cast<std::size_t>(pack_bytes), load_pack_ms);
         std::fprintf(
             f,
             "  \"timing_service\": {\"surface_build_ms\": %.2f, "

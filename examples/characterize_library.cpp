@@ -1,6 +1,9 @@
 // Library characterization flow: build CSM models for a set of cells, write
-// them to .csm files (plain text), and reload them - the cache pattern a
-// timing tool would use so characterization runs once per library release.
+// them as a model store of single-entry packs, and reload them - the cache
+// pattern a timing tool would use so characterization runs once per library
+// release. The output directory is the layout ModelRepository keeps
+// (<out_dir>/<ModelKey>.mcsmpack), so timing_serverd --model-dir and
+// mcsm_lint read it as it is.
 //
 // The jobs are independent and fan out over the process thread pool; each
 // characterization runs its own testbench fixtures and solver workspaces.
@@ -18,7 +21,8 @@
 #include "cells/library.h"
 #include "common/parallel.h"
 #include "core/characterizer.h"
-#include "core/model_io.h"
+#include "serve/mapped_store.h"
+#include "serve/repository.h"
 #include "tech/tech130.h"
 
 using namespace mcsm;
@@ -53,6 +57,7 @@ int main(int argc, char** argv) {
     struct Row {
         core::CsmModel model;
         double ms = 0.0;
+        std::string key;
         std::string file;
     };
     std::vector<Row> rows(jobs.size());
@@ -70,9 +75,12 @@ int main(int argc, char** argv) {
         rows[i].ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-        rows[i].file = out_dir + "/" + std::string(job.cell) + "_" +
-                       core::to_string(job.kind) + ".csm";
-        core::save_model(rows[i].file, rows[i].model);
+        rows[i].key = serve::ModelKey{job.cell, job.kind, job.pins, {}}
+                          .to_string();
+        rows[i].file = out_dir + "/" + rows[i].key + serve::kPackExt;
+        serve::PackWriter writer;
+        writer.add_model(rows[i].key, rows[i].model);
+        writer.write(rows[i].file);
     });
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - wall_start)
@@ -85,9 +93,14 @@ int main(int argc, char** argv) {
         const Job& job = jobs[i];
         const Row& row = rows[i];
 
-        // Round-trip check: the reloaded model must be usable.
-        const core::CsmModel reloaded = core::load_model(row.file);
-        reloaded.check_consistent();
+        // Round-trip check: the pack holds the model's exact bytes, and
+        // the reloaded model must be usable.
+        const auto pack = serve::MappedPack::map(row.file);
+        if (pack->model_check(row.key) != serve::model_checksum(row.model)) {
+            std::fprintf(stderr, "%s: checksum mismatch\n", row.file.c_str());
+            return 1;
+        }
+        (void)pack->materialize_model(row.key);
 
         std::printf("%-10s %-14s %6zu %10zu %10.1f  %s (%.1f kB)\n", job.cell,
                     core::to_string(job.kind), row.model.dim(),
@@ -100,6 +113,7 @@ int main(int argc, char** argv) {
                 " (%.0f ms of single-job work, %.2fx)\n",
                 jobs.size(), hardware_threads(), wall_ms, sum_ms,
                 sum_ms / wall_ms);
-    std::printf("reload with core::load_model(path) - see quickstart.cpp\n");
+    std::printf("reload with serve::MappedPack::map(path)->materialize_model"
+                "(key) - see quickstart.cpp\n");
     return 0;
 }

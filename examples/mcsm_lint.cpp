@@ -1,14 +1,13 @@
 // mcsm_lint: standalone pre-flight auditor for MCSM store artifacts.
 //
-// Walks the given store files (.mcsmpack packs -- every model and surface
-// entry -- or .csm text exports) or directories of them through
-// analysis::audit_path and prints every diagnostic --
-// severity, rule id, offending objects, fix hint. The same checks gate
-// every model ModelRepository admits; this tool runs them without a
-// serving process, e.g. in CI over a model store artifact.
+// Walks the given .mcsmpack packs (every model and surface entry) or
+// directories of them through analysis::audit_path and prints every
+// diagnostic -- severity, rule id, offending objects, fix hint. The same
+// checks gate every model ModelRepository admits; this tool runs them
+// without a serving process, e.g. in CI over a model store artifact.
 //
 //   usage: mcsm_lint [--strict] [--demo] [path ...]
-//     path      store file or directory of store files
+//     path      .mcsmpack pack or directory of packs
 //     --strict  non-zero exit on warnings too, not just errors
 //     --demo    lint built-in demonstration artifacts instead of (or in
 //               addition to) paths: a defective netlist, a clean netlist,
@@ -35,8 +34,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: mcsm_lint [--strict] [--demo] [path ...]\n"
-    "  path      store file (.mcsmpack pack, .csm text export) or a\n"
-    "            directory of them\n"
+    "  path      .mcsmpack pack or a directory of them\n"
     "  --strict  exit 1 on warnings too, not just errors\n"
     "  --demo    lint built-in demonstration artifacts (no files needed)\n";
 

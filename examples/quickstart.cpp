@@ -9,9 +9,9 @@
 
 #include "cells/library.h"
 #include "core/characterizer.h"
-#include "core/model_io.h"
 #include "core/model_scenarios.h"
 #include "engine/scenarios.h"
+#include "serve/mapped_store.h"
 #include "tech/tech130.h"
 #include "wave/metrics.h"
 
@@ -38,9 +38,12 @@ int main() {
                 nor2.pin_count(), nor2.internal_count(), nor2.dim(),
                 nor2.i_out.value_count());
 
-    // Models are plain text on disk - cache them across runs.
-    core::save_model("nor2_mcsm.csm", nor2);
-    const core::CsmModel reloaded = core::load_model("nor2_mcsm.csm");
+    // Models are checksummed packs on disk - cache them across runs.
+    serve::PackWriter writer;
+    writer.add_model("NOR2", nor2);
+    writer.write("nor2_mcsm.mcsmpack");
+    const core::CsmModel reloaded =
+        serve::MappedPack::map("nor2_mcsm.mcsmpack")->materialize_model("NOR2");
 
     // 3. Build a MIS stimulus: the paper's worst case, where the input
     //    history ('10' vs '01') decides the initial stack-node charge.

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "core/model_io.h"
 #include "serve/mapped_store.h"
 
 namespace mcsm::analysis {
@@ -256,11 +255,8 @@ LintReport audit_file(const std::string& path) {
                     std::string(s.arc_id), s.dt, s.settle, s.model_check,
                     lut::NdTable(s.delay), lut::NdTable(s.slew)}));
             }
-        } else if (ends_with(path, serve::kTextModelExt)) {
-            report.merge(audit_model(core::load_model(path)));
         } else {
-            unreadable("unknown store extension (expected .mcsmpack or "
-                       ".csm)");
+            unreadable("unknown store extension (expected .mcsmpack)");
         }
     } catch (const ModelError& e) {
         unreadable(e.what());
@@ -283,9 +279,7 @@ LintReport audit_path(const std::string& path) {
         for (const auto& entry : fs::directory_iterator(path, ec)) {
             if (!entry.is_regular_file()) continue;
             const std::string p = entry.path().string();
-            if (ends_with(p, serve::kPackExt) ||
-                ends_with(p, serve::kTextModelExt))
-                files.push_back(p);
+            if (ends_with(p, serve::kPackExt)) files.push_back(p);
         }
         std::sort(files.begin(), files.end());
         for (const std::string& f : files) report.merge(audit_file(f));

@@ -17,8 +17,8 @@
 //   warning model.negative-capacitance  grounded cap (Co, C_N, Cin) < 0
 //   error   surface.nonpositive-slew  slew table value <= 0
 //   error   surface.bad-parameters    dt/settle not finite and positive
-//   error   store.unreadable          file failed to load or map
-//                                     (corrupt, truncated, bad checksum)
+//   error   store.unreadable          file failed to map or load (corrupt,
+//                                     truncated, bad checksum, not a pack)
 //   info    store.scanned             directory summary
 //
 // ModelRepository runs audit_model on every model it admits, and the
@@ -30,7 +30,7 @@
 
 #include "analysis/diagnostics.h"
 #include "core/model.h"
-#include "serve/model_store.h"
+#include "serve/mapped_store.h"
 
 namespace mcsm::analysis {
 
@@ -41,13 +41,13 @@ LintReport audit_model(const core::CsmModel& model);
 
 LintReport audit_surface(const serve::ArcSurfaceData& surface);
 
-// Audits one store file by extension: every model and surface entry of a
-// .mcsmpack pack, or a .csm text export. A file that fails to load or map
-// yields a store.unreadable error instead of throwing.
+// Audits every model and surface entry of one .mcsmpack pack. A file that
+// fails to map or load, or has another extension, yields a
+// store.unreadable error instead of throwing.
 LintReport audit_file(const std::string& path);
 
-// Audits `path`: a store file, or a directory scanned (non-recursively)
-// for store files. Unknown paths yield a store.unreadable error.
+// Audits `path`: a pack, or a directory scanned (non-recursively) for
+// *.mcsmpack files. Unknown paths yield a store.unreadable error.
 LintReport audit_path(const std::string& path);
 
 }  // namespace mcsm::analysis

@@ -117,10 +117,6 @@ double lerp(double x0, double y0, double x1, double y1, double x) {
     return y0 + (y1 - y0) * ((x - x0) / (x1 - x0));
 }
 
-bool nearly_equal(double a, double b, double rtol, double atol) {
-    return std::fabs(a - b) <= atol + rtol * std::max(std::fabs(a), std::fabs(b));
-}
-
 std::vector<double> linspace(double lo, double hi, std::size_t n) {
     require(n >= 2, "linspace requires n >= 2");
     std::vector<double> out(n);

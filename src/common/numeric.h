@@ -50,9 +50,6 @@ double clamp(double x, double lo, double hi);
 // Requires x1 != x0.
 double lerp(double x0, double y0, double x1, double y1, double x);
 
-// True when |a - b| <= atol + rtol * max(|a|, |b|).
-bool nearly_equal(double a, double b, double rtol = 1e-9, double atol = 1e-12);
-
 // Returns a vector of n values spaced uniformly over [lo, hi] (n >= 2).
 std::vector<double> linspace(double lo, double hi, std::size_t n);
 

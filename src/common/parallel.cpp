@@ -44,23 +44,16 @@ void ThreadPool::submit(std::function<void()> job) {
     {
         MutexLock lock(mutex_);
         queue_.push_back(std::move(job));
-        ++in_flight_;
     }
     queue_depth.add(1);
     work_cv_.notify_one();
 }
 
+bool ThreadPool::on_worker_thread() { return t_on_worker; }
+
 // Condition-variable wait: the lock travels through std::unique_lock, which
 // the thread-safety analysis cannot follow, so the guarded-member accesses
 // in the predicate are exempted here (and only here).
-void ThreadPool::wait_idle() MCSM_NO_THREAD_SAFETY_ANALYSIS {
-    std::unique_lock<Mutex> lock(mutex_);
-    idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-bool ThreadPool::on_worker_thread() { return t_on_worker; }
-
-// Same std::unique_lock exemption as wait_idle().
 void ThreadPool::worker_loop() MCSM_NO_THREAD_SAFETY_ANALYSIS {
     t_on_worker = true;
     // pool.busy_ns / pool.tasks together give per-worker utilization
@@ -87,10 +80,6 @@ void ThreadPool::worker_loop() MCSM_NO_THREAD_SAFETY_ANALYSIS {
         tasks.add();
         busy_ns.add(elapsed);
         task_ns.observe(static_cast<double>(elapsed));
-        {
-            MutexLock lock(mutex_);
-            if (--in_flight_ == 0) idle_cv_.notify_all();
-        }
     }
 }
 

@@ -34,14 +34,9 @@ public:
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    std::size_t thread_count() const { return workers_.size(); }
-
     // Enqueues a job; jobs must not throw past their own boundary (use
     // parallel_for for exception propagation).
     void submit(std::function<void()> job) MCSM_EXCLUDES(mutex_);
-
-    // Blocks until every submitted job has finished.
-    void wait_idle() MCSM_EXCLUDES(mutex_);
 
     // True when the calling thread is one of this (or any) pool's workers.
     static bool on_worker_thread();
@@ -54,8 +49,6 @@ private:
     std::deque<std::function<void()>> queue_ MCSM_GUARDED_BY(mutex_);
     // condition_variable_any: waits take std::unique_lock<Mutex> directly.
     std::condition_variable_any work_cv_;
-    std::condition_variable_any idle_cv_;
-    std::size_t in_flight_ MCSM_GUARDED_BY(mutex_) = 0;
     bool stopping_ MCSM_GUARDED_BY(mutex_) = false;
 };
 

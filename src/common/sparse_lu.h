@@ -40,7 +40,6 @@ public:
     // Drops the symbolic analysis (next factor() re-pivots from scratch).
     void invalidate() { n_ = 0; }
 
-    std::size_t lu_nnz() const { return lu_cols_.size(); }
     // Instrumentation: how often the expensive pivot-order analysis ran vs
     // the cheap pattern-reusing numeric path.
     std::size_t full_factor_count() const { return full_factors_; }

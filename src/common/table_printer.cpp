@@ -1,8 +1,8 @@
 #include "common/table_printer.h"
 
-#include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 
@@ -21,24 +21,6 @@ std::string TablePrinter::num(double v, int precision) {
     std::ostringstream os;
     os << std::setprecision(precision) << v;
     return os.str();
-}
-
-void TablePrinter::print_aligned(std::ostream& os) const {
-    std::vector<std::size_t> width(header_.size(), 0);
-    for (std::size_t c = 0; c < header_.size(); ++c)
-        width[c] = header_[c].size();
-    for (const auto& row : rows_)
-        for (std::size_t c = 0; c < row.size(); ++c)
-            width[c] = std::max(width[c], row[c].size());
-
-    auto print_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            os << std::left << std::setw(static_cast<int>(width[c]) + 2) << row[c];
-        }
-        os << '\n';
-    };
-    print_row(header_);
-    for (const auto& row : rows_) print_row(row);
 }
 
 void TablePrinter::print_csv(std::ostream& os) const {

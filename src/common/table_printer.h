@@ -1,4 +1,4 @@
-// Minimal aligned-column / CSV table printer for bench harness output.
+// Minimal CSV table printer for bench harness output.
 #ifndef MCSM_COMMON_TABLE_PRINTER_H
 #define MCSM_COMMON_TABLE_PRINTER_H
 
@@ -9,9 +9,8 @@
 
 namespace mcsm {
 
-// Collects rows of string cells and prints them either as aligned columns
-// (human-readable) or as CSV (machine-readable). Bench harnesses use this to
-// emit the paper's figure series.
+// Collects rows of string cells and prints them as CSV. Bench harnesses use
+// this to emit the paper's figure series.
 class TablePrinter {
 public:
     explicit TablePrinter(std::vector<std::string> header);
@@ -21,7 +20,6 @@ public:
     // Formats a double with the given precision (default engineering-style).
     static std::string num(double v, int precision = 6);
 
-    void print_aligned(std::ostream& os) const;
     void print_csv(std::ostream& os) const;
 
     std::size_t row_count() const { return rows_.size(); }

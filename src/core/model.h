@@ -13,9 +13,9 @@
 // in the paper's eqs. (1), (2), (4), (5).
 //
 // The table list. A model is one family of lookup tables over those
-// voltages. Every walk over a model's tables (the CSM device, both model
-// formats, the audit, the characterizer) goes through one list, in one
-// canonical order, which is the pack payload and text export order. With
+// voltages. Every walk over a model's tables (the CSM device, the pack
+// format, the audit, the characterizer) goes through one list, in one
+// canonical order, which is the pack payload order. With
 // p pins and k internal nodes it holds (names for pin A, internal node N):
 //   Io      1    current into the cell at out
 //   I_N     k    current into the cell at N

@@ -200,14 +200,6 @@ Snapshot snapshot() {
   return snap;
 }
 
-void reset_all() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& [name, c] : r.counters) c->reset();
-  for (auto& [name, g] : r.gauges) g->reset();
-  for (auto& [name, h] : r.histograms) h->reset();
-}
-
 std::string Snapshot::to_json() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;

@@ -71,9 +71,6 @@ class Counter {
     for (const auto& s : shards_) total += s.v.load(std::memory_order_relaxed);
     return total;
   }
-  void reset() {
-    for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-  }
 
  private:
   detail::PaddedI64 shards_[detail::kShards];
@@ -207,9 +204,6 @@ struct Snapshot {
 // Consistent-enough point-in-time view: each instrument is read atomically
 // per field; cross-instrument skew is possible and fine.
 Snapshot snapshot();
-
-// Zeroes every registered instrument (tests / per-batch deltas).
-void reset_all();
 
 }  // namespace mcsm::obs
 

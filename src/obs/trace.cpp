@@ -147,10 +147,6 @@ bool trace_active() {
   return detail::g_trace_on.load(std::memory_order_relaxed);
 }
 
-bool trace_detail_active() {
-  return detail::g_trace_detail.load(std::memory_order_relaxed);
-}
-
 bool stop_trace() {
   detail::TraceState& s = detail::state();
   std::lock_guard<std::mutex> lock(s.mu);

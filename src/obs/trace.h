@@ -44,7 +44,6 @@ void start_trace(const TraceOptions& options);
 bool stop_trace();
 
 bool trace_active();
-bool trace_detail_active();
 
 namespace detail {
 

@@ -1,5 +1,6 @@
 // The serving layer's one at-rest format: an mmap-able zero-parse pack of
-// characterized models and serve-layer arc surfaces.
+// characterized models and serve-layer arc surfaces, plus the durable file
+// plumbing every pack is published through.
 //
 // A pack bundles any number of entries into ONE file laid out for mmap(2):
 //   * page-aligned sections, so section starts never share a page and the
@@ -54,6 +55,7 @@
 #define MCSM_SERVE_MAPPED_STORE_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -64,8 +66,8 @@
 
 #include "common/annotations.h"
 #include "core/model.h"
+#include "lut/ndtable.h"
 #include "lut/table_view.h"
-#include "serve/model_store.h"
 
 namespace mcsm::serve {
 
@@ -84,6 +86,23 @@ std::string encode_model(const core::CsmModel& model);
 // FNV-1a 64 over encode_model(model): the content identity derived caches
 // (arc surfaces) reference, equal to a packed model's content_check.
 std::uint64_t model_checksum(const core::CsmModel& model);
+
+// A serve-layer arc surface as built in memory: the delay/slew tables the
+// TimingService builds by running one CSM transient per knot, plus the
+// evaluation parameters they were built under. arc_id and the parameters
+// let a loader reject stale entries after an options change instead of
+// serving wrong numbers.
+struct ArcSurfaceData {
+    std::string arc_id;   // TimingService arc identity (cell|pins|dir|corner)
+    double dt = 0.0;      // transient step the knots were measured with [s]
+    double settle = 0.0;  // post-edge simulation window [s]
+    // model_checksum() of the CSM model the knot transients ran against;
+    // loaders compare it so a surface derived from a stale model (e.g.
+    // re-characterized with different options) is rebuilt, never served.
+    std::uint64_t model_check = 0;
+    lut::NdTable delay;
+    lut::NdTable slew;
+};
 
 // A surface resolved inside a mapping: evaluation parameters plus
 // TableViews whose spans point into the mapped bytes. Valid only while the
@@ -115,7 +134,7 @@ struct MappedModel {
 class MappedPack;
 
 // Accumulates entries and writes them as one pack file, durably and
-// atomically (write-temp + fsync + rename, see serve/model_store.h).
+// atomically (save_bytes_atomically below).
 class PackWriter {
 public:
     // Entry names are lookup keys: ModelKey::to_string() for models,
@@ -244,6 +263,34 @@ private:
     std::shared_ptr<const MappedPack> pack_ MCSM_GUARDED_BY(mutex_);
     std::atomic<std::uint64_t> generation_{1};
 };
+
+// --- durable file plumbing ---------------------------------------------
+//
+// Every pack is published through write-temp + fsync + rename +
+// fsync(parent dir): once a write returns, the new file survives a crash
+// or power loss, and a reader can never observe a truncated payload under
+// the final name (the incomplete bytes only ever live under a "*.tmp.*"
+// name). Because publication is a rename, a process that still maps the
+// replaced file keeps reading its old, intact pages.
+
+// Writes `bytes` to `path` durably and atomically: unique same-directory
+// temp file, full write, fsync, rename over `path`, fsync of the parent
+// directory. Throws ModelError on any failure (the temp is cleaned up).
+void save_bytes_atomically(const std::string& path, const std::string& bytes);
+
+// Durably renames the fully-written, fsync'd `tmp` over `path` and fsyncs
+// the parent directory of `path`. When the rename fails with EXDEV (tmp on
+// a different filesystem), falls back to copying into a fresh temp next to
+// `path` first, so cross-filesystem temp directories still publish
+// atomically. Throws ModelError on failure; `tmp` is removed either way.
+void durable_replace_file(const std::string& tmp, const std::string& path);
+
+// Removes "*.tmp.*" droppings left in `dir` by writers that died between
+// write and rename. Only files older than `min_age_s` are removed, so a
+// concurrently-running writer's in-flight temp is never yanked away.
+// Returns the number of files removed; missing/unreadable directories
+// count as empty. ModelRepository runs this on construction.
+std::size_t clean_orphan_temps(const std::string& dir, long min_age_s);
 
 }  // namespace mcsm::serve
 

@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/model_store.h"
 
 namespace mcsm::serve {
 

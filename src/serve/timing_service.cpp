@@ -12,7 +12,6 @@
 #include "core/model_scenarios.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/model_store.h"
 #include "spice/tran_solver.h"
 #include "wave/edges.h"
 #include "wave/metrics.h"

@@ -4,7 +4,7 @@
 // decks -- that nothing fires at all: the linter is only useful if it has
 // zero false positives on circuits the repo itself simulates). Also covers
 // the structural-singularity matcher on hand-built patterns, the hardened
-// store/text load paths, and the repository's admission gate.
+// pack load path, and the repository's admission gate.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -27,8 +27,6 @@
 #include "analysis/structural.h"
 #include "cells/library.h"
 #include "common/error.h"
-#include "core/model_io.h"
-#include "lut/table_io.h"
 #include "serve/mapped_store.h"
 #include "serve/repository.h"
 #include "spice/circuit.h"
@@ -580,37 +578,6 @@ TEST(StoreAudit, MissingPathIsAnError) {
 }
 
 // --- hardened load paths -------------------------------------------------
-
-TEST(LoadHardening, TextTableRejectsNanValue) {
-    std::istringstream is(
-        "table T 1\naxis x 2 0.0 1.0\nvalues 2 nan 1.0\nend\n");
-    const std::string what = what_of([&] { lut::read_table(is); });
-    EXPECT_NE(what.find("not finite"), std::string::npos) << what;
-}
-
-TEST(LoadHardening, TextTableRejectsNonMonotoneAxis) {
-    std::istringstream is(
-        "table T 1\naxis x 2 1.0 0.0\nvalues 2 0.0 0.0\nend\n");
-    const std::string what = what_of([&] { lut::read_table(is); });
-    EXPECT_NE(what.find("strictly increasing"), std::string::npos) << what;
-}
-
-TEST(LoadHardening, TextTableRejectsNanKnot) {
-    std::istringstream is(
-        "table T 1\naxis x 2 nan 1.0\nvalues 2 0.0 0.0\nend\n");
-    const std::string what = what_of([&] { lut::read_table(is); });
-    EXPECT_NE(what.find("not finite"), std::string::npos) << what;
-}
-
-TEST(LoadHardening, TextModelRejectsBadHeader) {
-    core::CsmModel m = make_sis_model();
-    m.vdd = -1.0;  // write_model only checks shape, so this serializes
-    std::ostringstream os;
-    core::write_model(os, m);
-    std::istringstream is(os.str());
-    const std::string what = what_of([&] { core::read_model(is); });
-    EXPECT_NE(what.find("vdd"), std::string::npos) << what;
-}
 
 // A pack whose model entry the writer accepts (encode_model checks shape
 // only) but map-time validation must refuse.

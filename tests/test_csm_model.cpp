@@ -5,12 +5,10 @@
 
 #include <array>
 #include <cmath>
-#include <sstream>
 
 #include "core/characterizer.h"
 #include "core/csm_device.h"
 #include "core/explicit_sim.h"
-#include "core/model_io.h"
 #include "core/model_scenarios.h"
 #include "core/selective.h"
 #include "engine/scenarios.h"
@@ -250,23 +248,6 @@ TEST(CsmSelective, PolicyPrefersCompleteModelForLightLoads) {
               &s.nor_mcsm);
     EXPECT_EQ(&select_model(s.nor_mcsm, s.nor_baseline, 100e-15, policy),
               &s.nor_baseline);
-}
-
-TEST(CsmModelIo, RoundTripPreservesTables) {
-    const auto& s = ModelSuite::get();
-    std::stringstream ss;
-    write_model(ss, s.nor_mcsm);
-    const CsmModel copy = read_model(ss);
-    EXPECT_EQ(copy.kind, ModelKind::kMcsm);
-    EXPECT_EQ(copy.cell_name, "NOR2");
-    ASSERT_EQ(copy.internals.size(), 1u);
-    ASSERT_EQ(copy.i_out.value_count(), s.nor_mcsm.i_out.value_count());
-    for (std::size_t i = 0; i < copy.i_out.value_count(); ++i)
-        EXPECT_DOUBLE_EQ(copy.i_out.values()[i], s.nor_mcsm.i_out.values()[i]);
-    // Interpolation agrees at an off-grid point.
-    const std::array<double, 4> q{0.3, 0.45, 0.9, 0.2};
-    EXPECT_DOUBLE_EQ(copy.io(q), s.nor_mcsm.io(q));
-    EXPECT_DOUBLE_EQ(copy.cn(0, q), s.nor_mcsm.cn(0, q));
 }
 
 }  // namespace

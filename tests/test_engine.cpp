@@ -1,12 +1,11 @@
 // Engine scenario-builder tests: stimulus invariants, load construction
-// (including pi and distributed RC lines), and crosstalk variants.
+// (including pi loads), and crosstalk variants.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "engine/crosstalk.h"
 #include "wave/edges.h"
-#include "engine/rc_line.h"
 #include "engine/scenarios.h"
 #include "spice/dc_solver.h"
 #include "tech/tech130.h"
@@ -94,58 +93,6 @@ TEST_F(EngineFixture, NoPiLoadMeansNoFarNode) {
     const auto a = wave::piecewise_edges(tech_.vdd, {{1e-9, 80e-12, 0.0}});
     GoldenCell bench(lib_, "INV_X1", {{"A", a}}, LoadSpec{2e-15, 0, ""});
     EXPECT_EQ(bench.far_node(), -1);
-}
-
-// --- distributed RC line -----------------------------------------------------
-
-TEST_F(EngineFixture, RcLineStepResponseMatchesElmoreScale) {
-    RcLineSpec spec;
-    spec.total_resistance = 2e3;
-    spec.total_capacitance = 20e-15;
-    spec.segments = 10;
-
-    spice::Circuit c;
-    const int in = c.node("in");
-    c.add_vsource("VIN", in, spice::Circuit::kGround,
-                  spice::SourceSpec::pwl(
-                      wave::saturated_ramp(0.1e-9, 1e-12, 0.0, 1.0)));
-    const auto nodes = attach_rc_line(c, in, spec, "W");
-    ASSERT_EQ(nodes.size(), 10u);
-
-    spice::TranOptions topt;
-    topt.tstop = 1.0e-9;
-    topt.dt = 0.5e-12;
-    const spice::TranResult r = spice::solve_tran(c, topt);
-    const wave::Waveform far = r.node_waveform(nodes.back());
-
-    // The 50% crossing of a distributed RC step response is ~0.69 * Elmore.
-    const double elmore = rc_line_elmore_delay(spec);
-    const auto t50 = far.cross_time(0.5, true, 0.1e-9);
-    ASSERT_TRUE(t50.has_value());
-    const double delay = *t50 - 0.1e-9;
-    EXPECT_GT(delay, 0.4 * elmore);
-    EXPECT_LT(delay, 1.0 * elmore);
-}
-
-TEST_F(EngineFixture, RcLineElmoreFormulaMatchesHandComputation) {
-    RcLineSpec spec;
-    spec.total_resistance = 1e3;
-    spec.total_capacitance = 10e-15;
-    spec.segments = 2;
-    // r=500 each; caps: 5fF interior... segment model: node1 full 5fF,
-    // node2 (far) half 2.5fF. Elmore = 500*(5+2.5)f + 500*2.5f = 5e-12.
-    EXPECT_NEAR(rc_line_elmore_delay(spec), 5e-12, 1e-18);
-}
-
-TEST_F(EngineFixture, RcLineRejectsBadSpecs) {
-    spice::Circuit c;
-    const int in = c.node("in");
-    RcLineSpec bad;
-    bad.segments = 0;
-    EXPECT_THROW(attach_rc_line(c, in, bad, "W"), ModelError);
-    bad.segments = 2;
-    bad.total_resistance = -1.0;
-    EXPECT_THROW(attach_rc_line(c, in, bad, "W"), ModelError);
 }
 
 // --- crosstalk builder variants -----------------------------------------------

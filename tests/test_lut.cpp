@@ -3,12 +3,10 @@
 
 #include <array>
 #include <cmath>
-#include <sstream>
 
 #include "common/error.h"
 #include "lut/axis.h"
 #include "lut/ndtable.h"
-#include "lut/table_io.h"
 
 namespace mcsm::lut {
 namespace {
@@ -124,27 +122,6 @@ TEST(NdTable, FourDimensionalRoundTrip) {
     EXPECT_EQ(t.value_count(), 625u);
     const std::array<double, 4> q{0.3, 0.7, 1.0, 0.1};
     EXPECT_NEAR(t.at(q), 0.3 - 1.4 + 0.5 * 1.0 * 0.1, 1e-12);
-}
-
-TEST(TableIo, WriteReadRoundTrip) {
-    NdTable t({Axis("va", {-0.12, 0.0, 0.6, 1.2, 1.32}),
-               Axis::uniform("vo", 0.0, 1.2, 3)},
-              "Io");
-    t.fill([](std::span<const double> x) { return x[0] * 7.0 - x[1]; });
-    std::stringstream ss;
-    write_table(ss, t);
-    const NdTable u = read_table(ss);
-    EXPECT_EQ(u.name(), "Io");
-    ASSERT_EQ(u.rank(), 2u);
-    EXPECT_EQ(u.axis(0).name(), "va");
-    ASSERT_EQ(u.value_count(), t.value_count());
-    for (std::size_t i = 0; i < t.value_count(); ++i)
-        EXPECT_DOUBLE_EQ(u.values()[i], t.values()[i]);
-}
-
-TEST(TableIo, RejectsGarbage) {
-    std::stringstream ss("not a table");
-    EXPECT_THROW(read_table(ss), mcsm::ModelError);
 }
 
 }  // namespace

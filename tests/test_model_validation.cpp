@@ -1,19 +1,16 @@
-// Failure-injection and validation tests: malformed models, bad IO, bad
-// device wiring, and bad solver/characterizer options must fail loudly, not
+// Failure-injection and validation tests: malformed models, bad device
+// wiring, and bad solver/characterizer options must fail loudly, not
 // corrupt results.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/model_audit.h"
-#include "common/fp_text.h"
 #include "core/characterizer.h"
 #include "core/csm_device.h"
 #include "core/explicit_sim.h"
-#include "core/model_io.h"
 #include "core/model_scenarios.h"
 #include "core/selective.h"
 #include "spice/tran_solver.h"
@@ -174,65 +171,6 @@ TEST(ModelValidation, DetectsTableOffTheSharedAxes) {
     EXPECT_NE(what.find("'Co'"), std::string::npos) << what;
     EXPECT_TRUE(analysis::audit_model(broken).fired(
         "model.inconsistent-shape"));
-}
-
-// --- model IO failure injection ---------------------------------------------
-
-TEST(ModelIoValidation, RoundTripThenTruncationFails) {
-    const Shared& s = Shared::get();
-    std::stringstream ss;
-    write_model(ss, s.nor);
-    const std::string text = ss.str();
-
-    // Any truncation must throw, never return a half-read model.
-    for (const double frac : {0.1, 0.5, 0.9, 0.999}) {
-        std::stringstream cut(
-            text.substr(0, static_cast<std::size_t>(text.size() * frac)));
-        EXPECT_THROW(read_model(cut), ModelError) << frac;
-    }
-}
-
-TEST(ModelIoValidation, RejectsTableOffTheSharedAxes) {
-    // A text export with the third knot of Co's OUT axis line moved by
-    // 50 mV parses table by table, but the model's shared axes no longer
-    // hold.
-    const Shared& s = Shared::get();
-    std::stringstream ss;
-    write_model(ss, s.inv);
-    std::string text = ss.str();
-    const std::size_t line = text.find("axis OUT ", text.find("table Co "));
-    ASSERT_NE(line, std::string::npos);
-    const std::size_t eol = text.find('\n', line);
-    std::istringstream tokens(text.substr(line, eol - line));
-    std::vector<std::string> words;
-    for (std::string w; tokens >> w;) words.push_back(w);
-    // words: axis OUT <n> k0 k1 k2 ...
-    double knot = 0.0;
-    ASSERT_TRUE(parse_exact_double(words.at(5), knot));
-    std::ostringstream moved;
-    write_exact_double(moved, knot + 0.05);
-    words[5] = moved.str();
-    std::string edited;
-    for (const std::string& w : words) {
-        if (!edited.empty()) edited += ' ';
-        edited += w;
-    }
-    text.replace(line, eol - line, edited);
-
-    std::stringstream is(text);
-    const std::string what = error_of([&] { read_model(is); });
-    EXPECT_NE(what.find("'Co'"), std::string::npos) << what;
-}
-
-TEST(ModelIoValidation, RejectsWrongHeaderAndKind) {
-    std::stringstream bad1("notamodel v1\n");
-    EXPECT_THROW(read_model(bad1), ModelError);
-    std::stringstream bad2("csmmodel v1\nkind FANCY\n");
-    EXPECT_THROW(read_model(bad2), ModelError);
-}
-
-TEST(ModelIoValidation, MissingFileThrows) {
-    EXPECT_THROW(load_model("/nonexistent/dir/model.csm"), ModelError);
 }
 
 // --- device wiring validation ------------------------------------------------

@@ -28,13 +28,11 @@
 #include "common/fp_text.h"
 #include "common/single_flight.h"
 #include "core/characterizer.h"
-#include "core/model_io.h"
 #include "net/client.h"
 #include "net/query_text.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "serve/mapped_store.h"
-#include "serve/model_store.h"
 #include "serve/repository.h"
 #include "serve/timing_service.h"
 #include "tech/tech130.h"

@@ -1,9 +1,10 @@
-// Serving-layer tests: bit-exact pack-store and text-export round trips
-// (for every library cell), corrupt-input rejection (bad magic, bad
-// checksums, truncations, malformed text -- always ModelError, never a
-// partial model), repository caching semantics (lazy load, single-flight
-// characterization, clean cache after failures, best-effort write-back),
-// and deterministic batched timing queries across thread counts.
+// Serving-layer tests: bit-exact pack-store round trips (for every library
+// cell), corrupt-input rejection (bad magic, bad checksums, truncations,
+// structurally bad entries under valid checksums -- always ModelError,
+// never a partial model), repository caching semantics (lazy load,
+// single-flight characterization, clean cache after failures, best-effort
+// write-back), and deterministic batched timing queries across thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -22,12 +23,11 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/model_audit.h"
 #include "cells/library.h"
 #include "common/parallel.h"
 #include "common/single_flight.h"
 #include "core/characterizer.h"
-#include "core/model_io.h"
-#include "lut/table_io.h"
 #include "obs/metrics.h"
 #include "serve/mapped_store.h"
 #include "serve/repository.h"
@@ -150,46 +150,6 @@ TEST(ModelStore, SaveLoadFileRoundTrip) {
     EXPECT_EQ(entries, 1u);
 }
 
-// --- text store round-trip fidelity (hexfloat regression) ----------------
-
-TEST(ModelIoText, RoundTripIsBitExact) {
-    const Shared& s = Shared::get();
-    for (const core::CsmModel* m : {&s.inv, &s.nor}) {
-        std::stringstream ss;
-        core::write_model(ss, *m);
-        const core::CsmModel back = core::read_model(ss);
-        EXPECT_EQ(encode_model(back), encode_model(*m));
-    }
-}
-
-TEST(ModelIoText, TableRoundTripPreservesQuirkValues) {
-    lut::NdTable t({lut::Axis("x", {0.0, 1.0})}, "q");
-    std::vector<std::size_t> i0{0};
-    std::vector<std::size_t> i1{1};
-    t.set_grid_value(i0, 5e-324);  // subnormal: lost by %.17g-era formats
-    t.set_grid_value(i1, -0.0);
-    std::stringstream ss;
-    lut::write_table(ss, t);
-    const lut::NdTable back = lut::read_table(ss);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.values()[0]),
-              std::bit_cast<std::uint64_t>(t.values()[0]));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.values()[1]),
-              std::bit_cast<std::uint64_t>(t.values()[1]));
-}
-
-TEST(ModelIoText, LegacyDecimalTablesStillParse) {
-    std::stringstream ss(
-        "table legacy 1\n"
-        "axis x 3 0 0.5 1e0\n"
-        "values 3\n"
-        "0.25 -3e-15 17\n"
-        "end\n");
-    const lut::NdTable t = lut::read_table(ss);
-    EXPECT_EQ(t.values()[0], 0.25);
-    EXPECT_EQ(t.values()[1], -3e-15);
-    EXPECT_EQ(t.values()[2], 17.0);
-}
-
 // --- corrupt / malformed inputs ------------------------------------------
 
 // Bytes of a single-entry model pack for `model`.
@@ -298,6 +258,87 @@ TEST(ModelStoreValidation, RejectsPayloadBitFlips) {
     }
 }
 
+// The ModelError message `fn` throws; "" when it does not throw.
+std::string error_of(const std::function<void()>& fn) {
+    try {
+        fn();
+    } catch (const ModelError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+// The bytes a pack stores for the string `s` (see the layout in
+// serve/mapped_store.h): u64 length, the characters, zero padding to 8.
+std::string padded_str(std::string_view s) {
+    std::string out(8, '\0');
+    poke_u64(out, 0, s.size());
+    out += s;
+    out.resize((out.size() + 7) / 8 * 8, '\0');
+    return out;
+}
+
+// Offset of knot `i` of the OUT axis of the model table named `table` in
+// the bytes of a single-entry model pack; npos when either is absent.
+std::size_t out_knot_offset(const std::string& bytes, std::string_view table,
+                            std::size_t i) {
+    const std::string axis = padded_str("OUT");
+    const std::size_t out =
+        bytes.find(axis, bytes.find(padded_str(table), kPackPage));
+    if (out == std::string::npos) return out;
+    return out + axis.size() + 8 + 8 * i;  // past the name and knot count
+}
+
+double peek_f64(const std::string& bytes, std::size_t at) {
+    double v = 0.0;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return v;
+}
+
+TEST(ModelStoreValidation, RejectsTableOffTheSharedAxes) {
+    // Co's third OUT-axis knot moved by 50 mV: every table is valid on its
+    // own, so the entry maps, but the model's shared axes no longer hold.
+    std::string bytes = model_pack_bytes(Shared::get().inv);
+    const std::size_t at = out_knot_offset(bytes, "Co", 2);
+    ASSERT_NE(at, std::string::npos);
+    poke_u64(bytes, at,
+             std::bit_cast<std::uint64_t>(peek_f64(bytes, at) + 0.05));
+    reseal(bytes);
+    TempDir dir("shared_axes");
+    const std::string path = dir.str() + "/m" + kPackExt;
+    write_file(path, bytes);
+    std::shared_ptr<const MappedPack> pack;
+    ASSERT_NO_THROW(pack = MappedPack::map(path));
+    const std::string what = error_of([&] { pack->materialize_model("m"); });
+    EXPECT_NE(what.find("'Co'"), std::string::npos) << what;
+    const analysis::LintReport report = analysis::audit_file(path);
+    EXPECT_TRUE(report.fired("store.unreadable")) << report.format();
+}
+
+TEST(ModelStoreValidation, RejectsUnknownModelKind) {
+    std::string bytes = model_pack_bytes(Shared::get().inv);
+    poke_u64(bytes, kPackPage, 7);  // the model payload's leading kind
+    reseal(bytes);
+    const std::string what = error_of([&] { map_bytes(bytes); });
+    EXPECT_NE(what.find("unknown model kind"), std::string::npos) << what;
+}
+
+TEST(ModelStoreValidation, RejectsBadAxisKnots) {
+    const std::string good = model_pack_bytes(Shared::get().inv);
+    const std::size_t at = out_knot_offset(good, "Co", 2);
+    ASSERT_NE(at, std::string::npos);
+    for (const double knot : {std::numeric_limits<double>::quiet_NaN(),
+                              peek_f64(good, at - 8)}) {
+        std::string bytes = good;
+        poke_u64(bytes, at, std::bit_cast<std::uint64_t>(knot));
+        reseal(bytes);
+        const std::string what = error_of([&] { map_bytes(bytes); });
+        EXPECT_NE(what.find("non-finite or non-increasing axis knots"),
+                  std::string::npos)
+            << "knot=" << knot << ": " << what;
+    }
+}
+
 // --- corner metadata and arc surfaces ------------------------------------
 
 ArcSurfaceData sample_surface() {
@@ -356,10 +397,6 @@ TEST(ModelStore, ModelCarriesCharacterizationTemperature) {
     m.temp_c = 85.0;
     EXPECT_EQ(map_bytes(model_pack_bytes(m))->materialize_model("m").temp_c,
               85.0);
-    // The text export carries it too.
-    std::stringstream text;
-    core::write_model(text, m);
-    EXPECT_EQ(core::read_model(text).temp_c, 85.0);
 }
 
 TEST(ModelStoreValidation, SurfaceAndModelKindsDoNotCrossLoad) {
@@ -430,19 +467,6 @@ TEST(ModelStoreValidation, FuzzedTruncationsAndBitFlipsAlwaysThrow) {
                     << "at=" << at << " bit=" << bit;
             }
         }
-    }
-}
-
-TEST(ModelStoreValidation, MalformedTextTablesThrow) {
-    for (const char* text : {
-             "garbage",
-             "table t 1\naxis x 2 0 zz\nvalues 2\n0 1\nend\n",  // bad knot
-             "table t 1\naxis x 2 0 1\nvalues 5\n0 1\nend\n",   // bad count
-             "table t 1\naxis x 2 0 1\nvalues 2\n0 nope\nend\n",
-             "table t 1\naxis x 2 0 1\nvalues 2\n0 1\n",  // missing end
-         }) {
-        std::stringstream ss(text);
-        EXPECT_THROW(lut::read_table(ss), ModelError) << text;
     }
 }
 

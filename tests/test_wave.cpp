@@ -130,5 +130,40 @@ TEST(Metrics, MaxAbsError) {
     EXPECT_NEAR(max_abs_error(a, b, 0.0, 2.0, 1001), 0.5, 1e-3);
 }
 
+TEST(WaveMetrics, IntegralOfRampIsExact) {
+    // Unit ramp 0->1 over [0,1]: integral = 0.5 exactly (piecewise-linear).
+    Waveform w({0.0, 1.0}, {0.0, 1.0});
+    EXPECT_DOUBLE_EQ(integral(w, 0.0, 1.0), 0.5);
+    // Partial window [0.5, 1.0]: trapezoid of 0.5..1.0 = 0.375.
+    EXPECT_DOUBLE_EQ(integral(w, 0.5, 1.0), 0.375);
+    // Constant extension beyond the samples.
+    EXPECT_DOUBLE_EQ(integral(w, 1.0, 2.0), 1.0);
+}
+
+TEST(WaveMetrics, IntegralHandlesInteriorBreakpoints) {
+    // Triangle pulse: area = base * height / 2.
+    const Waveform tri({0.0, 1.0, 2.0}, {0.0, 1.0, 0.0});
+    EXPECT_DOUBLE_EQ(integral(tri, 0.0, 2.0), 1.0);
+    EXPECT_THROW(integral(tri, 1.0, 1.0), ModelError);
+}
+
+TEST(WaveMetrics, PeakExcursionAboveAndBelow) {
+    const Waveform tri({0.0, 1.0, 2.0}, {0.0, 0.8, -0.3});
+    EXPECT_NEAR(peak_excursion(tri, 0.5, true, 0.0, 2.0), 0.3, 1e-12);
+    EXPECT_NEAR(peak_excursion(tri, 0.0, false, 0.0, 2.0), 0.3, 1e-12);
+    // Window excludes the peak sample: endpoint interpolation still counts.
+    EXPECT_NEAR(peak_excursion(tri, 0.5, true, 0.0, 0.5), 0.0, 1e-12);
+}
+
+TEST(WaveMetrics, WidthAboveGlitchLevel) {
+    const Waveform tri({0.0, 1.0, 2.0}, {0.0, 1.0, 0.0});
+    // Crosses 0.5 upward at t=0.5, downward at t=1.5: width 1.0.
+    EXPECT_NEAR(width_above(tri, 0.5, 0.0, 2.0), 1.0, 1e-12);
+    // Never exceeds 1.5.
+    EXPECT_DOUBLE_EQ(width_above(tri, 1.5, 0.0, 2.0), 0.0);
+    // Still above the level at the window end: clipped to the window.
+    EXPECT_NEAR(width_above(tri, 0.5, 0.0, 1.0), 0.5, 1e-12);
+}
+
 }  // namespace
 }  // namespace mcsm::wave

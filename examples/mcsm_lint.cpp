@@ -9,24 +9,19 @@
 //   usage: mcsm_lint [--strict] [--demo] [path ...]
 //     path      .mcsmpack pack or directory of packs
 //     --strict  non-zero exit on warnings too, not just errors
-//     --demo    lint built-in demonstration artifacts instead of (or in
-//               addition to) paths: a defective netlist, a clean netlist,
-//               and a NaN-poisoned model. Needs no files; the CI smoke
-//               test runs this mode.
+//     --demo    also audit a built-in NaN-poisoned model whose grid misses
+//               the supply rail, and fail unless both defects are named.
+//               Needs no files; the CI smoke test runs this mode.
 //
 //   exit status: 0 clean, 1 diagnostics at the gating severity, 2 usage
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "analysis/circuit_lint.h"
 #include "analysis/model_audit.h"
 #include "lut/axis.h"
-#include "spice/circuit.h"
-#include "spice/source_spec.h"
 
 using namespace mcsm;
 
@@ -36,7 +31,7 @@ constexpr const char* kUsage =
     "usage: mcsm_lint [--strict] [--demo] [path ...]\n"
     "  path      .mcsmpack pack or a directory of them\n"
     "  --strict  exit 1 on warnings too, not just errors\n"
-    "  --demo    lint built-in demonstration artifacts (no files needed)\n";
+    "  --demo    also audit a built-in defective model (no files needed)\n";
 
 void print_report(const char* title, const analysis::LintReport& report) {
     std::printf("== %s\n", title);
@@ -48,51 +43,6 @@ void print_report(const char* title, const analysis::LintReport& report) {
     }
     std::printf("   %zu error(s), %zu warning(s)\n\n", report.error_count(),
                 report.warning_count());
-}
-
-// A netlist seeded with most of the defect classes the linter knows:
-// floating and dangling nodes, a voltage-source loop, nonphysical element
-// values, a capacitively-suspended node with no DC path, and a structurally
-// singular MNA pattern (a node fed only by a current source).
-analysis::LintReport lint_defective_demo() {
-    spice::Circuit c;
-    const int in = c.node("in");
-    const int out = c.node("out");
-    c.node("nowhere");  // floating: no device terminal ever touches it
-    const int island = c.node("island");
-    const int cap_only = c.node("cap_only");
-
-    c.add_vsource("Vin", in, spice::Circuit::kGround,
-                  spice::SourceSpec::dc(1.2));
-    // Same two terminals as Vin: an ideal-source loop (and a singular MNA).
-    c.add_vsource("Vdup", in, spice::Circuit::kGround,
-                  spice::SourceSpec::dc(1.1));
-    // Negative values are rejected at construction; non-finite ones slip
-    // through the ctor guards (inf > 0) and only the linter names them.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    c.add_resistor("Rinf", in, out, kInf);
-    c.add_capacitor("Cinf", out, spice::Circuit::kGround, kInf);
-    c.add_capacitor("Czero", out, spice::Circuit::kGround, 0.0);
-    // cap_only hangs off `out` through a capacitor alone: no DC path.
-    c.add_capacitor("Chang", out, cap_only, 1e-15);
-    // island is driven only by a current source: its MNA row is empty at
-    // DC and in transient -- the structural-singularity detector names it.
-    c.add_isource("Ifloat", island, spice::Circuit::kGround,
-                  spice::SourceSpec::dc(1e-6));
-    return analysis::lint_circuit(c);
-}
-
-// The same rules on a healthy RC divider: must stay silent.
-analysis::LintReport lint_clean_demo() {
-    spice::Circuit c;
-    const int in = c.node("in");
-    const int mid = c.node("mid");
-    c.add_vsource("Vin", in, spice::Circuit::kGround,
-                  spice::SourceSpec::dc(1.2));
-    c.add_resistor("R1", in, mid, 1e3);
-    c.add_resistor("R2", mid, spice::Circuit::kGround, 1e3);
-    c.add_capacitor("C1", mid, spice::Circuit::kGround, 1e-15);
-    return analysis::lint_circuit(c);
 }
 
 // A shape-consistent SIS model poisoned with a NaN payload value and a
@@ -160,21 +110,15 @@ int main(int argc, char** argv) {
     };
 
     if (demo) {
-        const analysis::LintReport defective = lint_defective_demo();
-        print_report("demo: defective netlist", defective);
-        const analysis::LintReport clean = lint_clean_demo();
-        print_report("demo: clean RC netlist", clean);
         const analysis::LintReport poisoned = lint_poisoned_model_demo();
         print_report("demo: NaN-poisoned SIS model", poisoned);
         // The demo demonstrates the rules; it only fails the run when the
-        // linter itself misbehaves (missed defects or false positives).
-        if (defective.error_count() == 0 || !clean.empty() ||
-            !poisoned.fired("table.nonfinite-value") ||
+        // auditor itself misbehaves (a seeded defect goes unnamed).
+        if (!poisoned.fired("table.nonfinite-value") ||
             !poisoned.fired("model.knot-coverage")) {
             std::fprintf(stderr,
                          "mcsm_lint: demo expectations violated "
-                         "(defective=%zu clean=%zu poisoned=%zu)\n",
-                         defective.error_count(), clean.size(),
+                         "(poisoned=%zu error(s))\n",
                          poisoned.error_count());
             return 1;
         }

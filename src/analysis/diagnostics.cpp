@@ -38,15 +38,14 @@ std::string Diagnostic::format() const {
     std::ostringstream os;
     os << to_string(severity) << '[' << rule << "] " << message;
     append_names(os, "nodes", nodes);
-    append_names(os, "devices", devices);
     if (!hint.empty()) os << " (" << hint << ')';
     return os.str();
 }
 
 namespace {
 
-// Every diagnostic, wherever it is raised (circuit linter, model/surface
-// auditor, store checks), also bumps the process-wide lint.* counters so a
+// Every diagnostic, wherever it is raised (model/surface auditor, store
+// checks), also bumps the process-wide lint.* counters so a
 // snapshot shows whether any audit complained since startup.
 void count_diagnostic(Severity severity) {
     static obs::Counter& errors = obs::counter("lint.errors");

@@ -1,8 +1,8 @@
-// Structured diagnostics shared by the pre-flight static analyses
-// (analysis/circuit_lint, analysis/model_audit). A diagnostic names the
-// rule that fired, the severity, the circuit/model objects involved and a
-// fix hint, so callers can gate admission on error_count() and surface the
-// report verbatim to users (the mcsm_lint CLI prints it as a table).
+// Structured diagnostics of the model/surface/store audit
+// (analysis/model_audit). A diagnostic names the rule that fired, the
+// severity, the model nodes involved and a fix hint, so callers can gate
+// admission on error_count() and surface the report verbatim to users (the
+// mcsm_lint CLI prints it as a table).
 // Every diagnostic added to a report also bumps the process-wide
 // lint.errors / lint.warnings / lint.infos obs counters (see obs/metrics.h),
 // so a long-running server's snapshot records whether any audit complained.
@@ -18,26 +18,25 @@ namespace mcsm::analysis {
 enum class Severity {
     kError,    // the artifact will fail or produce wrong results; reject it
     kWarning,  // suspicious but simulatable; surface it
-    kInfo,     // informational context (component counts, ...)
+    kInfo,     // informational context (directory summaries, ...)
 };
 
 const char* to_string(Severity severity);
 
 struct Diagnostic {
     Severity severity = Severity::kError;
-    // Stable dotted rule id, e.g. "circuit.floating-node",
-    // "model.nonfinite-value" (the full set is documented in README
-    // "Static analysis & diagnostics").
+    // Stable dotted rule id, e.g. "model.nonfinite-value",
+    // "store.unreadable" (the full set is documented in
+    // analysis/model_audit.h).
     std::string rule;
     // What is wrong, with the concrete values involved.
     std::string message;
-    // Circuit node / device / table names involved (may be empty).
+    // Model pin / internal node names involved (may be empty).
     std::vector<std::string> nodes;
-    std::vector<std::string> devices;
     // How to fix it (may be empty).
     std::string hint;
 
-    // "error[circuit.floating-node] node 'n1' ... (hint)" single-line form.
+    // "error[model.duplicate-pin] ... nodes=A (hint)" single-line form.
     std::string format() const;
 };
 

@@ -44,8 +44,6 @@ public:
     void commit(const spice::SimContext& ctx,
                 std::span<double> state_next) const override;
 
-    const CsmModel& model() const { return *model_; }
-
 private:
     // One table bound to the circuit: a current into node a, or a cap
     // between nodes a and b, as model axes (b = TableRole::kGround for a

@@ -510,6 +510,16 @@ std::shared_ptr<const MappedPack> MappedPack::map(const std::string& path) {
         const std::string_view name(
             reinterpret_cast<const char*>(base + name_off), name_len);
         require(!name.empty(), "mapped_store: empty entry name");
+        // A model's content_check is its identity (model_check()), which
+        // surfaces are matched against: it must describe these bytes, not
+        // merely be covered by the body checksum.
+        if (fnv1a_bytes(base + payload_off, payload_size) != content_check) {
+            std::string what = "mapped_store: content check of entry '";
+            what += name;
+            what += "' does not match its payload: ";
+            what += path;
+            throw ModelError(what);
+        }
         pack->entries_.push_back(MappedPack::RawEntry{
             kind, name,
             {reinterpret_cast<const char*>(base + payload_off),

@@ -10,9 +10,10 @@
 //     variable-length headers -- a mapped surface is served through
 //     lut::TableView spans pointing STRAIGHT INTO THE MAPPING, no decode,
 //     no allocation, no per-process copy of the knot/value data;
-//   * one FNV-1a checksum over the body, verified ONCE at map time (plus
-//     rigorous bounds/monotonicity/finiteness validation of every entry),
-//     after which lookups trust the mapping.
+//   * one FNV-1a checksum over the body and one per entry payload, all
+//     verified ONCE at map time (plus rigorous bounds/monotonicity/
+//     finiteness validation of every entry), after which lookups trust the
+//     mapping.
 // N server processes mapping the same pack therefore share a single kernel
 // page cache copy of every model.
 //
@@ -44,7 +45,8 @@
 //   dir      entry records {kind u32, name_len u32, name_off u64,
 //            payload_off u64, payload_size u64, content_check u64}
 //            followed by the name blob. content_check is FNV-1a over the
-//            payload; for a model it equals model_checksum().
+//            payload; for a model it equals model_checksum(). map() rejects
+//            an entry whose content_check does not match its payload.
 //
 // Hot reload: PackHost re-stats the pack path and swaps in a fresh mapping
 // (atomic shared_ptr swap under a mutex, generation bump); queries already
@@ -171,7 +173,7 @@ PackWriter pack_from_dirs(const std::string& model_dir,
                           const std::string& surface_dir);
 
 // One immutable read-only mapping of a pack file. Construction mmaps the
-// file, verifies the checksum and validates every entry (bounds, axis
+// file, verifies the checksums and validates every entry (bounds, axis
 // monotonicity, finite values, model header ranges and table shapes);
 // after that, lookups trust the mapping. Thread-safe for concurrent
 // readers.

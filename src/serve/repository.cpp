@@ -1,6 +1,6 @@
 #include "serve/repository.h"
 
-#include <cstdio>
+#include <charconv>
 #include <filesystem>
 #include <utility>
 
@@ -15,12 +15,15 @@ namespace fs = std::filesystem;
 
 std::string Corner::tag() const {
     if (nominal()) return {};
-    // %.6g is stable and round-trip-exact for the handful of digits corner
-    // specs carry; the tag is an identity, not a serialization.
+    // Shortest round-trip form: corners that differ in either number get
+    // different tags, and the digits a spec carries print as written
+    // ("1.08V85C").
     char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6gV%.6gC", vdd > 0.0 ? vdd : 0.0,
-                  temp_c);
-    return buf;
+    char* p = std::to_chars(buf, buf + sizeof buf, vdd > 0.0 ? vdd : 0.0).ptr;
+    *p++ = 'V';
+    p = std::to_chars(p, buf + sizeof buf, temp_c).ptr;
+    *p++ = 'C';
+    return std::string(buf, p);
 }
 
 std::string ModelKey::to_string() const {

@@ -50,7 +50,9 @@ struct Corner {
 
     bool nominal() const { return vdd <= 0.0 && temp_c == 25.0; }
     // Filename-safe key suffix, "" for the nominal corner (so nominal
-    // store files keep their pre-corner names): "1.08V85C".
+    // store files keep their pre-corner names): "1.08V85C". Both numbers
+    // print in shortest round-trip form, so distinct corners never share a
+    // tag ("1.0800001V85C").
     std::string tag() const;
 };
 

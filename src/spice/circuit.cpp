@@ -50,6 +50,22 @@ VSource& Circuit::vsource(const std::string& name) {
 
 void Circuit::prepare() {
     if (prepared_) return;
+    // Stampers index the system by node id without a bounds check: an id
+    // past the last node would write past the right-hand side, and a
+    // negative one would drop its stamps without a word.
+    for (const auto& dev : devices_) {
+        for (const int t : dev->terminals()) {
+            if (t >= 0 && t < node_count()) continue;
+            std::string what = "Circuit: device '";
+            what += dev->name();
+            what += "' has terminal node id ";
+            what += std::to_string(t);
+            what += " outside [0, ";
+            what += std::to_string(node_count());
+            what += ')';
+            throw ModelError(what);
+        }
+    }
     int branch = 0;
     int state = 0;
     for (const auto& dev : devices_) {

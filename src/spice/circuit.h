@@ -80,6 +80,8 @@ public:
     // --- solver support ----------------------------------------------------
     // Assigns branch/state indices, computes the MNA sparsity pattern from
     // the device incidence, and (re)builds the persistent SolverWorkspace.
+    // Throws ModelError naming the device when a device terminal is not a
+    // node id in [0, node_count()). Every DC and transient solve calls it.
     // Safe to call repeatedly; re-runs after any device was added.
     void prepare();
     int branch_total() const { return branch_total_; }

@@ -27,8 +27,9 @@ public:
     virtual int branch_count() const { return 0; }
 
     // Circuit nodes this device connects to, in declaration order (repeats
-    // allowed). Cold-path introspection for the pre-flight circuit linter
-    // (analysis/circuit_lint); not used while solving.
+    // allowed). Every node id the device stamps must be listed:
+    // Circuit::prepare() checks them against [0, node_count()) before it
+    // builds the workspace. Cold path; not used while solving.
     virtual std::vector<int> terminals() const { return {}; }
 
     // Number of doubles of per-device state persisted across time steps

@@ -1,5 +1,7 @@
 #include "spice/linear_devices.h"
 
+#include <cmath>
+
 #include "common/error.h"
 #include "spice/cap_companion.h"
 
@@ -7,7 +9,8 @@ namespace mcsm::spice {
 
 Resistor::Resistor(std::string name, int a, int b, double resistance)
     : Device(std::move(name)), a_(a), b_(b), resistance_(resistance) {
-    require(resistance > 0.0, "Resistor: resistance must be positive");
+    require(std::isfinite(resistance) && resistance > 0.0,
+            "Resistor: resistance must be positive and finite");
 }
 
 void Resistor::stamp(Stamper& st, const SimContext&) const {
@@ -16,7 +19,8 @@ void Resistor::stamp(Stamper& st, const SimContext&) const {
 
 Capacitor::Capacitor(std::string name, int a, int b, double capacitance)
     : Device(std::move(name)), a_(a), b_(b), capacitance_(capacitance) {
-    require(capacitance >= 0.0, "Capacitor: capacitance must be non-negative");
+    require(std::isfinite(capacitance) && capacitance >= 0.0,
+            "Capacitor: capacitance must be non-negative and finite");
 }
 
 void Capacitor::stamp(Stamper& st, const SimContext& ctx) const {

@@ -1,5 +1,7 @@
 #include "spice/solver_workspace.h"
 
+#include <utility>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spice/circuit.h"
@@ -7,11 +9,13 @@
 
 namespace mcsm::spice {
 
-// Values are ignored during pattern collection; the entries a device
-// touches are fixed by its node/branch bindings, so a zero-bias pass covers
-// every operating point.
-std::vector<std::pair<int, int>> collect_mna_entries(const Circuit& circuit,
-                                                     bool include_gmin) {
+namespace {
+
+// The MNA sparsity pattern of an index-bound circuit, gmin diagonal
+// included. Values are ignored during pattern collection; the entries a
+// device touches are fixed by its node/branch bindings, so a zero-bias pass
+// covers every operating point.
+SparseMatrix mna_pattern(const Circuit& circuit) {
     const int n_nodes = circuit.node_count();
     const int n_branches = circuit.branch_total();
     std::vector<std::pair<int, int>> entries;
@@ -36,22 +40,17 @@ std::vector<std::pair<int, int>> collect_mna_entries(const Circuit& circuit,
     tran.state = &state;
     for (const auto& dev : circuit.devices()) dev->stamp(pat, tran);
 
-    if (include_gmin) pat.add_gmin_everywhere(1.0);
-    return entries;
-}
-
-SparseMatrix collect_mna_pattern(const Circuit& circuit, bool include_gmin) {
-    std::vector<std::pair<int, int>> entries =
-        collect_mna_entries(circuit, include_gmin);
+    pat.add_gmin_everywhere(1.0);
     SparseMatrix m;
-    m.build(static_cast<std::size_t>(circuit.node_count() - 1 +
-                                     circuit.branch_total()),
+    m.build(static_cast<std::size_t>(n_nodes - 1 + n_branches),
             std::move(entries));
     return m;
 }
 
+}  // namespace
+
 SolverWorkspace::SolverWorkspace(const Circuit& circuit)
-    : matrix_(collect_mna_pattern(circuit, /*include_gmin=*/true)),
+    : matrix_(mna_pattern(circuit)),
       stamper_(circuit.node_count(), circuit.branch_total(), &matrix_) {
     // Group devices for assemble(): MOSFETs into the SoA batch and linear
     // two-terminal devices into the LinearBatch, the rest onto the virtual

@@ -3,18 +3,18 @@
 //
 // Construction discovers the MNA sparsity pattern by running one
 // pattern-collection stamp pass over the devices (DC and transient modes,
-// so companion-model entries are included), then preallocates CSR storage
-// and the sparse LU. After that, one delta-form Newton cycle -- assemble,
-// residual, factor, solve_block -- performs zero heap allocations: devices
-// write into fixed CSR slots through the same Stamper primitives, the LU
-// reuses its symbolic factorization, and the caller owns the residual and
-// update buffers. Every DC and transient solve runs that one cycle.
+// so companion-model entries are included, plus the gmin diagonal the
+// solvers stamp), then preallocates CSR storage and the sparse LU. After
+// that, one delta-form Newton cycle -- assemble, residual, factor,
+// solve_block -- performs zero heap allocations: devices write into fixed
+// CSR slots through the same Stamper primitives, the LU reuses its
+// symbolic factorization, and the caller owns the residual and update
+// buffers. Every DC and transient solve runs that one cycle.
 #ifndef MCSM_SPICE_SOLVER_WORKSPACE_H
 #define MCSM_SPICE_SOLVER_WORKSPACE_H
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/sparse_lu.h"
@@ -27,27 +27,12 @@ namespace mcsm::spice {
 class Circuit;
 class Device;
 
-// Discovers the MNA sparsity pattern of an index-bound circuit (one
-// pattern-mode stamp pass in DC and one in transient, so companion-model
-// entries are included). `include_gmin` adds the gmin shunt diagonal the
-// solvers stamp: the workspace wants it (the solved matrix has it), the
-// structural-singularity detector in analysis/circuit_lint does not (gmin
-// would mask every empty node row it exists to find).
-//
-// collect_mna_entries returns the raw (row, col) stamp list, possibly with
-// duplicates and WITHOUT the unconditional diagonal SparseMatrix::build
-// inserts for pivot slots -- the form the structural detector needs (an
-// equation with no device entry must show up as an empty row).
-// collect_mna_pattern builds the solver-facing SparseMatrix from it.
-std::vector<std::pair<int, int>> collect_mna_entries(const Circuit& circuit,
-                                                     bool include_gmin);
-SparseMatrix collect_mna_pattern(const Circuit& circuit, bool include_gmin);
-
 class SolverWorkspace {
 public:
-    // The circuit must be index-bound (Circuit::prepare() constructs the
-    // workspace after binding). The workspace takes no reference to the
-    // circuit beyond the constructor.
+    // The circuit must be index-bound, with every device terminal a node
+    // id in [0, node_count()): Circuit::prepare() binds the indices and
+    // checks the terminals before it constructs the workspace. The
+    // workspace takes no reference to the circuit beyond the constructor.
     explicit SolverWorkspace(const Circuit& circuit);
 
     SolverWorkspace(const SolverWorkspace&) = delete;

@@ -1,10 +1,7 @@
 // Static-analysis subsystem tests: a corpus of deliberately defective
-// circuits and models, each asserting that exactly the right rule fires
-// (and, on the healthy corpus -- every library cell plus reference RC
-// decks -- that nothing fires at all: the linter is only useful if it has
-// zero false positives on circuits the repo itself simulates). Also covers
-// the structural-singularity matcher on hand-built patterns, the hardened
-// pack load path, and the repository's admission gate.
+// models, surfaces and store files, each asserting that exactly the right
+// rule fires (and that nothing fires on a clean one). Also covers the
+// hardened pack load path and the repository's admission gate.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,28 +15,17 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "analysis/circuit_lint.h"
 #include "analysis/model_audit.h"
-#include "analysis/structural.h"
-#include "cells/library.h"
 #include "common/error.h"
 #include "serve/mapped_store.h"
 #include "serve/repository.h"
-#include "spice/circuit.h"
-#include "spice/source_spec.h"
-#include "tech/tech130.h"
 
 namespace mcsm::analysis {
 namespace {
 
 namespace fs = std::filesystem;
-
-using spice::Circuit;
-using spice::SourceSpec;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -50,257 +36,6 @@ std::string what_of(const std::function<void()>& f) {
         return e.what();
     }
     return {};
-}
-
-// --- structural matcher on hand-built patterns ---------------------------
-
-using Entries = std::vector<std::pair<int, int>>;
-
-TEST(Structural, FullDiagonalIsNonsingular) {
-    const Entries e = {{0, 0}, {1, 1}, {2, 2}};
-    const StructuralResult r = structural_analysis(3, e);
-    EXPECT_FALSE(r.structurally_singular());
-    EXPECT_EQ(r.matching_size, 3u);
-    EXPECT_TRUE(r.unmatched_rows.empty());
-    EXPECT_TRUE(r.unmatched_cols.empty());
-}
-
-TEST(Structural, PermutationPatternIsNonsingular) {
-    const Entries e = {{0, 1}, {1, 2}, {2, 0}};
-    const StructuralResult r = structural_analysis(3, e);
-    EXPECT_FALSE(r.structurally_singular());
-    EXPECT_EQ(r.row_match[0], 1);
-    EXPECT_EQ(r.row_match[1], 2);
-    EXPECT_EQ(r.row_match[2], 0);
-}
-
-TEST(Structural, EmptyRowIsDetected) {
-    // Row 2 has no entry: deficiency exactly 1 whatever the other rows do.
-    const Entries e = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
-    const StructuralResult r = structural_analysis(3, e);
-    EXPECT_TRUE(r.structurally_singular());
-    EXPECT_EQ(r.deficiency(), 1u);
-    ASSERT_EQ(r.unmatched_rows.size(), 1u);
-    EXPECT_EQ(r.unmatched_rows[0], 2);
-    ASSERT_EQ(r.unmatched_cols.size(), 1u);
-    EXPECT_EQ(r.unmatched_cols[0], 2);
-}
-
-TEST(Structural, TwoRowsFightingOverOneColumn) {
-    const Entries e = {{0, 0}, {1, 0}};
-    const StructuralResult r = structural_analysis(2, e);
-    EXPECT_TRUE(r.structurally_singular());
-    EXPECT_EQ(r.matching_size, 1u);
-    EXPECT_EQ(r.deficiency(), 1u);
-}
-
-TEST(Structural, DuplicateEntriesAreHarmless) {
-    const Entries e = {{0, 0}, {0, 0}, {0, 0}, {1, 1}};
-    const StructuralResult r = structural_analysis(2, e);
-    EXPECT_FALSE(r.structurally_singular());
-}
-
-TEST(Structural, EmptySystemIsNonsingular) {
-    const StructuralResult r = structural_analysis(0, Entries{});
-    EXPECT_FALSE(r.structurally_singular());
-}
-
-// --- circuit linter: seeded defects --------------------------------------
-
-TEST(CircuitLint, CleanRcDividerIsSilent) {
-    Circuit c;
-    const int in = c.node("in");
-    const int mid = c.node("mid");
-    c.add_vsource("Vin", in, Circuit::kGround, SourceSpec::dc(1.2));
-    c.add_resistor("R1", in, mid, 1e3);
-    c.add_resistor("R2", mid, Circuit::kGround, 1e3);
-    c.add_capacitor("C1", mid, Circuit::kGround, 1e-15);
-    const LintReport report = lint_circuit(c);
-    EXPECT_TRUE(report.empty()) << report.format();
-}
-
-TEST(CircuitLint, FloatingNodeFires) {
-    Circuit c;
-    const int in = c.node("in");
-    const int out = c.node("out");
-    c.node("nowhere");
-    c.add_vsource("Vin", in, Circuit::kGround, SourceSpec::dc(1.0));
-    c.add_resistor("R1", in, out, 1e3);
-    c.add_resistor("R2", out, Circuit::kGround, 1e3);
-    const LintReport report = lint_circuit(c);
-    ASSERT_TRUE(report.fired("circuit.floating-node")) << report.format();
-    const Diagnostic* d = report.by_rule("circuit.floating-node")[0];
-    ASSERT_EQ(d->nodes.size(), 1u);
-    EXPECT_EQ(d->nodes[0], "nowhere");
-    // A floating node is an empty MNA row: the structural detector agrees.
-    EXPECT_TRUE(report.fired("circuit.structural-singularity"));
-    EXPECT_EQ(report.error_count(), 2u) << report.format();
-}
-
-TEST(CircuitLint, CapacitivelySuspendedNodeHasNoDcPath) {
-    Circuit c;
-    const int in = c.node("in");
-    const int n1 = c.node("n1");
-    c.add_vsource("Vin", in, Circuit::kGround, SourceSpec::dc(1.0));
-    c.add_capacitor("C1", in, n1, 1e-15);
-    c.add_capacitor("C2", n1, Circuit::kGround, 1e-15);
-    const LintReport report = lint_circuit(c);
-    EXPECT_TRUE(report.fired("circuit.no-dc-path")) << report.format();
-    EXPECT_EQ(report.error_count(), 1u) << report.format();
-    // The caps give n1 a transient diagonal: structurally fine.
-    EXPECT_FALSE(report.fired("circuit.structural-singularity"))
-        << report.format();
-
-    // Explicit-integrator workloads can demote the rule to a warning.
-    CircuitLintOptions lenient;
-    lenient.dc_path_is_error = false;
-    const LintReport relaxed = lint_circuit(c, lenient);
-    EXPECT_EQ(relaxed.error_count(), 0u) << relaxed.format();
-    EXPECT_TRUE(relaxed.fired("circuit.no-dc-path"));
-}
-
-TEST(CircuitLint, ParallelVsourcesLoopAndSingularity) {
-    Circuit c;
-    const int a = c.node("a");
-    c.add_vsource("V1", a, Circuit::kGround, SourceSpec::dc(1.0));
-    c.add_vsource("V2", a, Circuit::kGround, SourceSpec::dc(1.1));
-    c.add_resistor("R1", a, Circuit::kGround, 1e3);
-    const LintReport report = lint_circuit(c);
-    // Both the graph rule and the matrix rule must converge on this bug.
-    EXPECT_TRUE(report.fired("circuit.vsource-loop")) << report.format();
-    ASSERT_TRUE(report.fired("circuit.structural-singularity"))
-        << report.format();
-    // The deficient unknown is one of the two branch currents.
-    const Diagnostic* d = report.by_rule("circuit.structural-singularity")[0];
-    EXPECT_NE(d->message.find("i(V"), std::string::npos) << d->message;
-}
-
-TEST(CircuitLint, IsourceOnlyNodeIsStructurallySingular) {
-    Circuit c;
-    const int n1 = c.node("n1");
-    const int drv = c.node("drv");
-    c.add_vsource("Vref", drv, Circuit::kGround, SourceSpec::dc(1.0));
-    c.add_resistor("Rref", drv, Circuit::kGround, 1e3);
-    c.add_isource("I1", n1, Circuit::kGround, SourceSpec::dc(1e-6));
-    const LintReport report = lint_circuit(c);
-    ASSERT_TRUE(report.fired("circuit.structural-singularity"))
-        << report.format();
-    const Diagnostic* d = report.by_rule("circuit.structural-singularity")[0];
-    // Reported by name, before any factorization ran.
-    EXPECT_NE(d->message.find("v(n1)"), std::string::npos) << d->message;
-    EXPECT_TRUE(report.fired("circuit.no-dc-path"));
-}
-
-TEST(CircuitLint, NonFiniteElementValues) {
-    Circuit c;
-    const int a = c.node("a");
-    c.add_vsource("Vin", a, Circuit::kGround, SourceSpec::dc(1.0));
-    c.add_resistor("Rinf", a, Circuit::kGround, kInf);
-    c.add_capacitor("Cinf", a, Circuit::kGround, kInf);
-    c.add_capacitor("Czero", a, Circuit::kGround, 0.0);
-    const LintReport report = lint_circuit(c);
-    EXPECT_TRUE(report.fired("circuit.nonpositive-resistance"))
-        << report.format();
-    EXPECT_TRUE(report.fired("circuit.negative-capacitance"));
-    EXPECT_TRUE(report.fired("circuit.zero-capacitance"));
-}
-
-TEST(CircuitLint, NegativeValuesAreRejectedAtConstruction) {
-    // The device constructors are the first line of defense: negative
-    // values never reach the linter (non-finite ones do -- see above).
-    Circuit c;
-    const int a = c.node("a");
-    EXPECT_THROW(c.add_resistor("Rneg", a, Circuit::kGround, -50.0),
-                 ModelError);
-    EXPECT_THROW(c.add_capacitor("Cneg", a, Circuit::kGround, -1e-15),
-                 ModelError);
-}
-
-TEST(CircuitLint, ShortedDevices) {
-    Circuit c;
-    const int a = c.node("a");
-    c.add_vsource("Vin", a, Circuit::kGround, SourceSpec::dc(1.0));
-    c.add_resistor("Rload", a, Circuit::kGround, 1e3);
-    c.add_resistor("Rshort", a, a, 1e3);
-    c.add_vsource("Vshort", a, a, SourceSpec::dc(0.0));
-    CircuitLintOptions opt;
-    opt.structural = false;  // a self-looped V branch row is singular too;
-                             // here we isolate the graph rules
-    const LintReport report = lint_circuit(c, opt);
-    EXPECT_TRUE(report.fired("circuit.shorted-passive")) << report.format();
-    EXPECT_TRUE(report.fired("circuit.shorted-vsource"));
-}
-
-TEST(CircuitLint, DisconnectedSubgraphWarns) {
-    Circuit c;
-    const int a = c.node("a");
-    const int i1 = c.node("i1");
-    const int i2 = c.node("i2");
-    c.add_vsource("Vin", a, Circuit::kGround, SourceSpec::dc(1.0));
-    c.add_resistor("Rload", a, Circuit::kGround, 1e3);
-    c.add_vsource("Visland", i1, i2, SourceSpec::dc(1.0));
-    c.add_resistor("Risland", i1, i2, 1e3);
-    const LintReport report = lint_circuit(c);
-    ASSERT_TRUE(report.fired("circuit.disconnected-subgraph"))
-        << report.format();
-    const Diagnostic* d = report.by_rule("circuit.disconnected-subgraph")[0];
-    EXPECT_EQ(d->nodes.size(), 2u);
-    EXPECT_TRUE(report.fired("circuit.no-dc-path"));
-}
-
-TEST(CircuitLint, DanglingTerminalSkipsGraphStages) {
-    Circuit c;
-    const int a = c.node("a");
-    c.add_vsource("Vin", a, Circuit::kGround, SourceSpec::dc(1.0));
-    c.add_resistor("Rbad", a, 99, 1e3);  // node 99 was never created
-    const LintReport report = lint_circuit(c);
-    ASSERT_TRUE(report.fired("circuit.dangling-terminal")) << report.format();
-    const Diagnostic* d = report.by_rule("circuit.dangling-terminal")[0];
-    ASSERT_EQ(d->devices.size(), 1u);
-    EXPECT_EQ(d->devices[0], "Rbad");
-    // Connectivity/structural stages cannot run on out-of-range ids; the
-    // report must still come back (no crash, no throw).
-    EXPECT_FALSE(report.fired("circuit.structural-singularity"));
-}
-
-TEST(CircuitLint, EmptyCircuitWarns) {
-    Circuit c;
-    const LintReport report = lint_circuit(c);
-    EXPECT_TRUE(report.fired("circuit.empty"));
-    EXPECT_EQ(report.error_count(), 0u);
-}
-
-// Every transistor-level cell the repo ships, instantiated exactly as the
-// characterizer drives it, must lint clean: the gate earns its place in
-// front of the solvers only with a zero false-positive rate here.
-TEST(CircuitLint, AllLibraryCellsLintClean) {
-    const tech::Technology tech = tech::make_tech130();
-    const cells::CellLibrary lib(tech);
-    for (const std::string& name : lib.names()) {
-        const cells::CellType& cell = lib.get(name);
-        Circuit c;
-        const int vdd = c.node("vdd");
-        c.add_vsource("VDD", vdd, Circuit::kGround, SourceSpec::dc(tech.vdd));
-        std::unordered_map<std::string, int> conn;
-        conn[cells::kVdd] = vdd;
-        conn[cells::kGnd] = Circuit::kGround;
-        const int out = c.node("out");
-        conn[cells::kOut] = out;
-        for (const cells::PinInfo& pin : cell.inputs()) {
-            const int n = c.node("in_" + pin.name);
-            conn[pin.name] = n;
-            c.add_vsource("V" + pin.name, n, Circuit::kGround,
-                          SourceSpec::dc(0.0));
-        }
-        cell.instantiate(c, "X0", conn);
-        // The unloaded output is a legitimate characterization setup: add
-        // the load cap the benches use so the deck is fully representative.
-        c.add_capacitor("Cload", out, Circuit::kGround, 5e-15);
-        const LintReport report = lint_circuit(c);
-        EXPECT_TRUE(report.empty())
-            << "cell " << name << ":\n"
-            << report.format();
-    }
 }
 
 // --- model audit ---------------------------------------------------------

@@ -181,6 +181,12 @@ void poke_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
             static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
+std::uint64_t peek_u64(const std::string& bytes, std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return v;
+}
+
 std::uint64_t test_fnv1a(std::string_view bytes) {
     std::uint64_t h = 14695981039346656037ull;
     for (const char c : bytes) {
@@ -190,19 +196,36 @@ std::uint64_t test_fnv1a(std::string_view bytes) {
     return h;
 }
 
-// Pack header geometry (see the layout in serve/mapped_store.h).
+// Pack geometry (see the layout in serve/mapped_store.h).
 constexpr std::size_t kPackPage = 4096;
+constexpr std::size_t kEntryCountAt = 24;
+constexpr std::size_t kDirOffsetAt = 32;
 constexpr std::size_t kPayloadCheckAt = 48;
 constexpr std::size_t kHeaderCheckAt = 56;
 constexpr std::size_t kHeaderEnd = 64;
+constexpr std::size_t kDirRecordBytes = 40;  // content_check at +32
 
-// Recomputes both checksums after byte surgery, so a structurally corrupt
-// entry reaches the map-time entry validation instead of the checksum.
-void reseal(std::string& bytes) {
+// Recomputes the body and header checksums after byte surgery.
+void reseal_file(std::string& bytes) {
     poke_u64(bytes, kPayloadCheckAt,
              test_fnv1a(std::string_view(bytes).substr(kPackPage)));
     poke_u64(bytes, kHeaderCheckAt,
              test_fnv1a(std::string_view(bytes).substr(0, kHeaderCheckAt)));
+}
+
+// Recomputes every directory record's content_check, then both file
+// checksums, so a structurally corrupt entry reaches the map-time entry
+// validation instead of a checksum.
+void reseal(std::string& bytes) {
+    const std::uint64_t entries = peek_u64(bytes, kEntryCountAt);
+    const std::uint64_t dir = peek_u64(bytes, kDirOffsetAt);
+    for (std::uint64_t i = 0; i < entries; ++i) {
+        const std::size_t rec = dir + i * kDirRecordBytes;
+        const std::string_view payload = std::string_view(bytes).substr(
+            peek_u64(bytes, rec + 16), peek_u64(bytes, rec + 24));
+        poke_u64(bytes, rec + 32, test_fnv1a(payload));
+    }
+    reseal_file(bytes);
 }
 
 TEST(ModelStoreValidation, RejectsBadMagic) {
@@ -337,6 +360,26 @@ TEST(ModelStoreValidation, RejectsBadAxisKnots) {
                   std::string::npos)
             << "knot=" << knot << ": " << what;
     }
+}
+
+TEST(ModelStoreValidation, RejectsContentCheckThatMissesThePayload) {
+    // A rewritten pack whose file checksums were recomputed: only the
+    // directory's content_check, the model identity surfaces are matched
+    // against, still describes the old model.
+    std::string bytes = model_pack_bytes(Shared::get().inv);
+    const std::size_t at = kPackPage + 16;  // dv_margin: after kind, vdd
+    poke_u64(bytes, at,
+             std::bit_cast<std::uint64_t>(peek_f64(bytes, at) + 0.01));
+    reseal_file(bytes);
+    const std::string what = error_of([&] { map_bytes(bytes); });
+    EXPECT_NE(what.find("'m'"), std::string::npos) << what;
+    EXPECT_NE(what.find("content check"), std::string::npos) << what;
+    // Resealed with its content check too, the identity is the new model's.
+    reseal(bytes);
+    const auto pack = map_bytes(bytes);
+    EXPECT_EQ(pack->model_check("m"),
+              model_checksum(pack->materialize_model("m")));
+    EXPECT_NE(pack->model_check("m"), model_checksum(Shared::get().inv));
 }
 
 // --- corner metadata and arc surfaces ------------------------------------
@@ -606,8 +649,13 @@ TEST(Repository, CornerModelsCharacterizeCacheAndReloadDistinctly) {
     const Corner hot{1.0, 100.0};
     const ModelKey nominal = ModelKey::arc("INV_X1", {"A"});
     const ModelKey corner = ModelKey::arc("INV_X1", {"A"}, hot);
+    // 0.1 uV away in supply: a different corner with its own key, model
+    // and store file, though six significant digits print both alike.
+    const ModelKey near =
+        ModelKey::arc("INV_X1", {"A"}, Corner{1.0000001, 100.0});
     ASSERT_NE(nominal.to_string(), corner.to_string());
     EXPECT_EQ(corner.to_string(), "INV_X1.SIS.A@1V100C");
+    EXPECT_EQ(near.to_string(), "INV_X1.SIS.A@1.0000001V100C");
 
     std::string nom_bytes;
     std::string hot_bytes;
@@ -615,9 +663,12 @@ TEST(Repository, CornerModelsCharacterizeCacheAndReloadDistinctly) {
         ModelRepository warm(&s.lib, opt);
         const auto nom = warm.get(nominal);
         const auto hot_model = warm.get(corner);
-        EXPECT_EQ(warm.characterize_count(), 2u);  // no cross-corner hit
+        const auto near_model = warm.get(near);
+        EXPECT_EQ(warm.characterize_count(), 3u);  // no cross-corner hit
         EXPECT_TRUE(warm.cached(nominal));
         EXPECT_TRUE(warm.cached(corner));
+        EXPECT_TRUE(warm.cached(near));
+        EXPECT_EQ(near_model->vdd, 1.0000001);
 
         // The corner model really is a different model, characterized on a
         // derated card: supply and temperature both differ.
@@ -630,6 +681,8 @@ TEST(Repository, CornerModelsCharacterizeCacheAndReloadDistinctly) {
         EXPECT_NE(nom_bytes, hot_bytes);
         EXPECT_TRUE(fs::exists(warm.store_path(nominal)));
         EXPECT_TRUE(fs::exists(warm.store_path(corner)));
+        EXPECT_TRUE(fs::exists(warm.store_path(near)));
+        EXPECT_NE(warm.store_path(near), warm.store_path(corner));
     }
 
     // Cold restart from the pack store, no library attached: both corner

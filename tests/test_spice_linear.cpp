@@ -1,8 +1,13 @@
-// Tests for the MNA solver on linear circuits with analytic solutions.
+// Tests for the MNA solver on linear circuits with analytic solutions, and
+// for the circuit preconditions every solve passes through.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 
+#include "common/error.h"
 #include "spice/circuit.h"
 #include "spice/dc_solver.h"
 #include "spice/tran_solver.h"
@@ -146,6 +151,58 @@ TEST(Tran, RecordsUniformGrid) {
     ASSERT_EQ(r.sample_count(), 11u);
     EXPECT_DOUBLE_EQ(r.times().front(), 0.0);
     EXPECT_NEAR(r.times().back(), 1e-9, 1e-18);
+}
+
+// --- preconditions -----------------------------------------------------------
+
+// The ModelError message `fn` throws; "" when it does not throw.
+std::string error_of(const std::function<void()>& fn) {
+    try {
+        fn();
+    } catch (const ModelError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CircuitPreconditions, PrepareRejectsTerminalPastTheLastNode) {
+    Circuit c;
+    const int a = c.node("a");
+    c.add_vsource("V1", a, Circuit::kGround, SourceSpec::dc(1.0));
+    c.add_resistor("R1", a, Circuit::kGround, 1e3);
+    c.add_isource("Ifar", 99, Circuit::kGround,  // node 99 was never created
+                  SourceSpec::dc(1e-6));
+    const std::string what = error_of([&] { c.prepare(); });
+    EXPECT_NE(what.find("'Ifar'"), std::string::npos) << what;
+    EXPECT_NE(what.find("99"), std::string::npos) << what;
+    // Every solve prepares first, so none reaches the stamps.
+    EXPECT_THROW(solve_dc(c), ModelError);
+}
+
+TEST(CircuitPreconditions, PrepareRejectsNegativeNodeId) {
+    Circuit c;
+    const int a = c.node("a");
+    c.add_vsource("V1", a, Circuit::kGround, SourceSpec::dc(1.0));
+    c.add_resistor("Rneg", a, -1, 1e3);
+    const std::string what = error_of([&] { c.prepare(); });
+    EXPECT_NE(what.find("'Rneg'"), std::string::npos) << what;
+    EXPECT_NE(what.find("-1"), std::string::npos) << what;
+}
+
+TEST(CircuitPreconditions, RejectsNegativeOrInfiniteElementValues) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    Circuit c;
+    const int a = c.node("a");
+    for (const double r : {-50.0, kInf})
+        EXPECT_THROW(c.add_resistor("Rbad", a, Circuit::kGround, r),
+                     ModelError)
+            << r;
+    for (const double cap : {-1e-15, kInf})
+        EXPECT_THROW(c.add_capacitor("Cbad", a, Circuit::kGround, cap),
+                     ModelError)
+            << cap;
+    // A zero capacitance stamps nothing and stays legal.
+    EXPECT_NO_THROW(c.add_capacitor("Czero", a, Circuit::kGround, 0.0));
 }
 
 }  // namespace

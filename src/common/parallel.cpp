@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -13,6 +15,9 @@ namespace mcsm {
 namespace {
 
 thread_local bool t_on_worker = false;
+// True while a parallel_for caller runs its own slot: nested fan-outs from
+// there run inline, as they do on a worker.
+thread_local bool t_in_caller_slot = false;
 
 // Shared lazily-created pool. Sized once from hardware_threads(); living for
 // the process keeps thread spawn cost out of every sweep.
@@ -100,8 +105,52 @@ std::size_t resolve_threads(std::size_t requested) {
 }
 
 std::size_t parallel_slots(std::size_t threads) {
-    return ThreadPool::on_worker_thread() ? 1 : resolve_threads(threads);
+    return ThreadPool::on_worker_thread() || t_in_caller_slot
+               ? 1
+               : resolve_threads(threads);
 }
+
+namespace {
+
+// State of one fan-out, shared with its pool jobs. A job can start after
+// the caller returned (it queued behind other work and the caller drained
+// the items itself), so the jobs hold this block, not the caller's stack,
+// and touch `fn` only for items they claimed -- which the caller waits for.
+struct FanOut {
+    std::size_t n = 0;
+    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    std::size_t finished = 0;  // items claimed and run (or skipped)
+    std::exception_ptr first_error;
+
+    // Claims and runs items under `slot` until none are left, then counts
+    // them as finished. After a failure, claimed items are skipped.
+    void work(std::size_t slot) {
+        std::size_t ran = 0;
+        for (;;) {
+            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n) break;
+            ++ran;
+            if (failed.load(std::memory_order_relaxed)) continue;
+            try {
+                (*fn)(i, slot);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (!failed.exchange(true))
+                    first_error = std::current_exception();
+            }
+        }
+        if (ran == 0) return;
+        std::lock_guard<std::mutex> lock(mutex);
+        finished += ran;
+        if (finished == n) done_cv.notify_all();
+    }
+};
+
+}  // namespace
 
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn,
@@ -112,39 +161,23 @@ void parallel_for(std::size_t n,
         for (std::size_t i = 0; i < n; ++i) fn(i, 0);
         return;
     }
-    ThreadPool& pool = shared_pool();
-    // Per-call completion latch: the caller waits for ITS k jobs only, so
+    // Per-call completion: the caller waits for ITS items only, so
     // concurrent top-level fan-outs on the shared pool don't serialize on
-    // each other's batches.
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr first_error;
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::size_t remaining = k;
-    for (std::size_t slot = 0; slot < k; ++slot) {
-        pool.submit([&, slot] {
-            try {
-                for (;;) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= n || failed.load(std::memory_order_relaxed))
-                        break;
-                    fn(i, slot);
-                }
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!failed.exchange(true)) {
-                    first_error = std::current_exception();
-                }
-            }
-            std::lock_guard<std::mutex> lock(mutex);
-            if (--remaining == 0) done_cv.notify_all();
-        });
-    }
-    std::unique_lock<std::mutex> lock(mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-    if (first_error) std::rethrow_exception(first_error);
+    // each other's batches, and it works slot 0 itself, so a fan-out
+    // whose jobs queue behind another caller's long-lived ones still
+    // finishes.
+    const auto state = std::make_shared<FanOut>();
+    state->n = n;
+    state->fn = &fn;
+    ThreadPool& pool = shared_pool();
+    for (std::size_t slot = 1; slot < k; ++slot)
+        pool.submit([state, slot] { state->work(slot); });
+    t_in_caller_slot = true;
+    state->work(0);
+    t_in_caller_slot = false;
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->done_cv.wait(lock, [&] { return state->finished == n; });
+    if (state->first_error) std::rethrow_exception(state->first_error);
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,

@@ -5,10 +5,13 @@
 // (disjoint table slots, per-slot circuits/workspaces); the pool provides
 // scheduling and completion only. parallel_for is the one fan-out: its
 // slot form hands every call a slot index so callers can keep per-slot
-// state (a testbench fixture, a stage cache) without locks. Nested
-// parallel_for calls from inside a worker run inline, so composed layers
-// (parallel library jobs each running a parallel characterizer) degrade
-// gracefully instead of deadlocking or oversubscribing.
+// state (a testbench fixture, a stage cache) without locks. The caller
+// works slot 0 itself, so a fan-out finishes even while every worker is
+// busy with another caller's long-lived jobs. Nested parallel_for calls
+// from inside a worker, or from the caller's own slot, run inline, so
+// composed layers (parallel library jobs each running a parallel
+// characterizer) degrade gracefully instead of deadlocking or
+// oversubscribing.
 //
 // Environment: MCSM_THREADS=<n> overrides hardware_threads() in either
 // direction (0/unset: all cores).
@@ -60,19 +63,23 @@ std::size_t hardware_threads();
 std::size_t resolve_threads(std::size_t requested);
 
 // Slots a parallel_for with this thread-count knob can use: 1 inside a
-// pool worker (the nested fan-out runs inline), resolve_threads(threads)
-// otherwise. Callers that keep per-slot state size it with this.
+// pool worker or a parallel_for caller's own slot (the nested fan-out runs
+// inline), resolve_threads(threads) otherwise. Callers that keep per-slot
+// state size it with this.
 std::size_t parallel_slots(std::size_t threads = 0);
 
-// Runs fn(i, slot) for every i in [0, n), fanned over the shared pool with
-// at most min(parallel_slots(threads), n) jobs. Work is claimed dynamically
-// (atomic counter) so uneven items balance. Each job runs all its claims
-// under one slot in [0, parallel_slots(threads)), so per-slot state is
-// never touched by two threads at once; a slot's first call comes after
+// Runs fn(i, slot) for every i in [0, n) over min(parallel_slots(threads),
+// n) slots: the caller runs slot 0 and the shared pool one job per other
+// slot. Work is claimed dynamically (atomic counter) so uneven items
+// balance. Each slot runs all its claims on one thread, so per-slot state
+// is never touched by two threads at once; a slot's first call comes after
 // its first claim, so state built on first use costs nothing for a job
-// that finds the work drained. Runs inline under slot 0 when one slot is
-// all the call can use. The first exception thrown by fn is rethrown on
-// the caller.
+// that finds the work drained. Returns once every item has finished, not
+// once every job has started: a job still queued behind other work then
+// finds nothing to claim. Runs inline under slot 0 when one slot is all
+// the call can use. The first exception thrown by fn is rethrown on the
+// caller. The pool.* obs figures count pool jobs only, not the caller's
+// slot.
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn,
                   std::size_t threads = 0);

@@ -112,13 +112,27 @@ public:
         return n;
     }
 
-    // True when `id` holds a completed (successful or not-yet-evicted)
-    // production; false for absent or still-in-flight keys.
-    bool ready(const std::string& id) const {
-        MutexLock lock(mutex_);
-        const auto it = entries_.find(id);
-        return it != entries_.end() && is_ready(it->second->future);
+    // The value of a completed, successful production of `id`; null for
+    // absent, still-in-flight or failed keys. Never produces, never waits
+    // on a production.
+    Ptr find(const std::string& id) const {
+        std::shared_future<Ptr> future;
+        {
+            MutexLock lock(mutex_);
+            const auto it = entries_.find(id);
+            if (it == entries_.end() || !is_ready(it->second->future))
+                return nullptr;
+            future = it->second->future;
+        }
+        try {
+            return future.get();
+        } catch (...) {
+            return nullptr;  // a failed attempt its producer is evicting
+        }
     }
+
+    // True when find(id) would return a value.
+    bool ready(const std::string& id) const { return find(id) != nullptr; }
 
     std::size_t ready_count() const {
         MutexLock lock(mutex_);

@@ -3,17 +3,23 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <span>
 #include <utility>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "net/query_text.h"
 #include "obs/metrics.h"
 #include "spice/ekv_lanes.h"
@@ -40,12 +46,47 @@ struct NetServer::Conn {
     // resets once fully drained.
     std::string out;
     std::size_t out_sent = 0;
-    std::uint64_t seq = 0;     // queries received (the response ids)
-    std::uint64_t queued = 0;  // queries of this conn in pending_
-    bool eof = false;          // peer half-closed; close once drained
-    bool want_write = false;   // EPOLLOUT currently armed
+    std::uint64_t seq = 0;  // queries received (the response ids)
+    // Replies are numbered in request order: `replies` numbers issued,
+    // `placed` of them appended to `out`. A reply ready before an earlier
+    // one waits in `held`, keyed by its number.
+    std::uint64_t replies = 0;
+    std::uint64_t placed = 0;
+    std::map<std::uint64_t, std::string> held;
+    std::size_t held_bytes = 0;
+    std::size_t counted = 0;         // this conn's share of buffered_
+    std::uint32_t events = EPOLLIN;  // registered epoll interest
+    bool eof = false;     // peer half-closed; close once answered
+    bool paused = false;  // reading stopped: output over the bound
 
     bool drained() const { return out_sent >= out.size(); }
+    std::size_t buffered() const {
+        return out.size() - out_sent + held_bytes;
+    }
+    // Every reply owed so far is on the wire.
+    bool answered() const { return placed == replies && drained(); }
+
+    // Places reply `r`, which write(s) appends to s: straight onto `out`
+    // when every earlier reply is placed (no allocation), else held until
+    // they are.
+    template <typename Write>
+    void place(std::uint64_t r, Write&& write) {
+        if (r != placed) {
+            std::string line;
+            write(line);
+            held_bytes += line.size();
+            held.emplace(r, std::move(line));
+            return;
+        }
+        write(out);
+        ++placed;
+        for (auto it = held.begin(); it != held.end() && it->first == placed;
+             it = held.erase(it)) {
+            out += it->second;
+            held_bytes -= it->second.size();
+            ++placed;
+        }
+    }
 };
 
 NetServer::NetServer(serve::TimingService& service, NetServerOptions options)
@@ -54,6 +95,7 @@ NetServer::NetServer(serve::TimingService& service, NetServerOptions options)
     require(options_.max_line >= 64, "NetServer: max_line must be >= 64");
     require(!options_.unix_path.empty() || options_.tcp_port >= 0,
             "NetServer: no listener configured (unix_path or tcp_port)");
+    output_bound_ = options_.batch_max * options_.max_line;
 
     // Register the solver's dispatched lane width up front so the `stats`
     // snapshot reports it even when the serve tier never builds a solver
@@ -144,17 +186,21 @@ void NetServer::stop() {
         ::write(wake_fd_, &one, sizeof one);
 }
 
-void NetServer::update_epoll(const std::shared_ptr<Conn>& conn,
-                             bool want_write) {
-    if (conn->fd < 0 || conn->want_write == want_write) return;
+void NetServer::update_epoll(Conn& conn) {
+    // A paused or half-closed peer is not read (level-triggered EOF would
+    // wake the loop on every pass until the cold lane answers it).
+    const std::uint32_t events = (conn.paused || conn.eof ? 0u : EPOLLIN) |
+                                 (conn.drained() ? 0u : EPOLLOUT);
+    if (conn.fd < 0 || conn.events == events) return;
     epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.ptr = conn.get();
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0)
-        conn->want_write = want_write;
+    ev.events = events;
+    ev.data.ptr = &conn;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0)
+        conn.events = events;
 }
 
 void NetServer::try_flush(const std::shared_ptr<Conn>& conn) {
+    static obs::Gauge& buffered = obs::gauge("net.buffered_bytes");
     while (conn->fd >= 0 && !conn->drained()) {
         // MSG_NOSIGNAL: a vanished peer surfaces as EPIPE on this
         // connection instead of a process-wide SIGPIPE.
@@ -175,18 +221,24 @@ void NetServer::try_flush(const std::shared_ptr<Conn>& conn) {
         conn->out_sent = 0;
     }
     if (conn->fd < 0) return;
-    update_epoll(conn, !conn->drained());
-    // Half-closed peer: close once every response is on the wire and no
-    // query of this connection is still waiting in the pending batch.
-    if (conn->eof && conn->drained() && conn->queued == 0)
-        close_conn(conn);
+    buffered_ = buffered_ - conn->counted + conn->buffered();
+    conn->counted = conn->buffered();
+    buffered.set(static_cast<long long>(buffered_));
+    if (conn->paused && conn->buffered() == 0) {
+        conn->paused = false;
+        resumed_.push_back(conn);
+    }
+    update_epoll(*conn);
+    // Half-closed peer: close once every reply it is owed is on the wire.
+    if (conn->eof && conn->answered()) close_conn(conn);
 }
 
 void NetServer::respond(const std::shared_ptr<Conn>& conn,
                         std::string_view line) {
-    if (conn->fd < 0) return;  // disconnected while its batch ran
-    conn->out += line;
-    conn->out += '\n';
+    conn->place(conn->replies++, [&](std::string& out) {
+        out += line;
+        out += '\n';
+    });
     try_flush(conn);
 }
 
@@ -195,14 +247,18 @@ void NetServer::close_conn(const std::shared_ptr<Conn>& conn) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
     ::close(conn->fd);
     conn->fd = -1;
+    buffered_ -= conn->counted;
+    conn->counted = 0;
+    obs::gauge("net.buffered_bytes").set(static_cast<long long>(buffered_));
+    conn->held.clear();
     for (auto it = conns_.begin(); it != conns_.end(); ++it) {
         if (it->get() == conn.get()) {
             conns_.erase(it);
             break;
         }
     }
-    // Entries of this conn still in pending_ keep their shared_ptr; the
-    // batch runs them and respond() drops the answers on the floor.
+    // Entries of this conn still pending or on the cold lane keep their
+    // shared_ptr; their answers are dropped on the floor.
 }
 
 void NetServer::accept_ready(int listen_fd) {
@@ -242,18 +298,23 @@ void NetServer::accept_ready(int listen_fd) {
 
 void NetServer::handle_line(const std::shared_ptr<Conn>& conn,
                             std::string_view line) {
-    if (line.empty() || line == "ping") {
-        if (line == "ping") respond(conn, "pong");
-        return;
-    }
+    if (line.empty()) return;
     if (line == "flush") {
         run_pending_batch();
+        return;
+    }
+    if (line == "ping") {
+        respond(conn, "pong");
         return;
     }
     if (line == "stats") {
         const std::string json = obs::snapshot().to_json();
         // Length-prefixed: the JSON payload spans lines.
-        respond(conn, "stats " + std::to_string(json.size()) + "\n" + json);
+        std::string reply = "stats ";
+        reply += std::to_string(json.size());
+        reply += '\n';
+        reply += json;
+        respond(conn, reply);
         return;
     }
     if (line == "reload") {
@@ -261,102 +322,277 @@ void NetServer::handle_line(const std::shared_ptr<Conn>& conn,
             respond(conn, "err 0 reload: no pack configured");
             return;
         }
-        const bool swapped = options_.pack->refresh();
-        respond(conn, std::string("reload ") + (swapped ? "ok " : "noop ") +
-                          std::to_string(options_.pack->generation()));
-        if (swapped) obs::counter("net.reloads").add();
+        submit_to_lane(LaneJob{{}, true}, Pending{conn, 0, conn->replies++});
         return;
     }
 
+    // A blank or comment line (parse_query_line's rule: no first token, or
+    // one starting with '#') gets no response and consumes no id.
+    const std::size_t first = line.find_first_not_of(" \t");
+    if (first == std::string_view::npos || line[first] == '#') return;
     // Everything else is a query line; it consumes one sequence id so the
-    // client can correlate responses even across errors.
+    // client can correlate responses even across errors. It is parsed when
+    // its batch runs.
     const std::uint64_t id = ++conn->seq;
-    if (pending_.size() >= options_.max_pending) {
+    if (pending_.size() + deferred_ >= options_.max_pending) {
         obs::counter("net.rejected").add();
-        respond(conn, "err " + std::to_string(id) +
-                          " busy: server at max_pending, retry later");
-        return;
-    }
-    if (queries_.size() == pending_.size()) queries_.emplace_back();
-    try {
-        if (!parse_query_line(line, queries_[pending_.size()])) {
-            --conn->seq;  // blank/comment: no response, no id consumed
-            return;
-        }
-    } catch (const std::exception& e) {
-        obs::counter("net.parse_errors").add();
-        respond(conn,
-                "err " + std::to_string(id) + " " + std::string(e.what()));
+        std::string reply = "err ";
+        reply += std::to_string(id);
+        reply += " busy: server at max_pending, retry later";
+        respond(conn, reply);
         return;
     }
     if (pending_.empty())
         batch_deadline_ = std::chrono::steady_clock::now() +
                           std::chrono::microseconds(options_.linger_us);
-    ++conn->queued;
-    pending_.push_back({conn, id});
+    pending_.push_back(
+        {conn, id, conn->replies++, pending_text_.size(), line.size()});
+    pending_text_ += line;
     if (pending_.size() >= options_.batch_max) run_pending_batch();
 }
 
 void NetServer::run_pending_batch() {
     // EOF-triggered and timer-triggered flushes race an already-empty
-    // queue; never pay a run_batch() for zero queries.
+    // queue; never pay a batch for zero queries.
     if (pending_.empty()) return;
-    std::vector<Pending> batch;
-    batch.swap(pending_);
-    const std::span<const serve::TimingQuery> queries(queries_.data(),
-                                                      batch.size());
-    obs::counter("net.batches").add();
-    obs::histogram("net.batch_size")
-        .observe(static_cast<double>(queries.size()));
-    const std::vector<serve::TimingResult> results =
-        service_->run_batch(queries);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        Conn& conn = *batch[i].conn;
-        --conn.queued;
-        if (conn.fd < 0) continue;  // disconnected while the batch ran
-        append_result_line(conn.out, batch[i].seq, results[i]);
-        conn.out += '\n';
+    static obs::Counter& batches = obs::counter("net.batches");
+    static obs::Counter& served = obs::counter("net.served");
+    static obs::Counter& parse_errors = obs::counter("net.parse_errors");
+    static obs::Histogram& batch_size = obs::histogram("net.batch_size");
+    static obs::Histogram& loop_batch_ns =
+        obs::histogram("net.loop_batch_ns");
+    batch_.swap(pending_);
+    const std::size_t n = batch_.size();
+    if (queries_.size() < n) {
+        queries_.resize(n);
+        line_errors_.resize(n);
     }
-    obs::counter("net.served").add(static_cast<long long>(results.size()));
-    // ONE flush per connection for the whole batch (responses were only
-    // appended above); this also closes half-closed peers whose last
+    batches.add();
+    batch_size.observe(static_cast<double>(n));
+    const std::uint64_t t0 = obs::now_ns();
+    // The lines parse in the batch's own fan-out, in chunks of kGrain:
+    // parsing one takes well under a microsecond, so a batch smaller than
+    // a chunk stays on this thread. A line that does not parse leaves its
+    // message in line_errors_ (parse errors always carry one).
+    constexpr std::size_t kGrain = 64;
+    parallel_for(
+        (n + kGrain - 1) / kGrain,
+        [&](std::size_t chunk) {
+            const std::size_t end = std::min(n, (chunk + 1) * kGrain);
+            for (std::size_t i = chunk * kGrain; i < end; ++i) {
+                const std::string_view line(
+                    pending_text_.data() + batch_[i].text_at,
+                    batch_[i].text_len);
+                line_errors_[i].clear();
+                try {
+                    parse_query_line(line, queries_[i]);
+                } catch (const std::exception& e) {
+                    line_errors_[i] = e.what();
+                }
+            }
+        },
+        service_->options().threads);
+    pending_text_.clear();
+    // Only parsed queries reach the service: they move to the front in
+    // batch order (swaps keep every slot's buffers).
+    std::size_t parsed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!line_errors_[i].empty()) continue;
+        if (parsed != i) std::swap(queries_[parsed], queries_[i]);
+        ++parsed;
+    }
+    const std::vector<std::size_t> cold =
+        parsed == 0 ? std::vector<std::size_t>{}
+                    : service_->run_resident(
+                          std::span<const serve::TimingQuery>(
+                              queries_.data(), parsed),
+                          results_);
+    loop_batch_ns.observe(static_cast<double>(obs::now_ns() - t0));
+    // Slot i's query is queries_[k], k counting the slots that parsed;
+    // `cold` lists, ascending, the k the lane answers.
+    std::size_t k = 0;
+    std::size_t next_cold = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        Pending& p = batch_[i];
+        if (!line_errors_[i].empty()) {
+            parse_errors.add();
+            if (p.conn->fd < 0) continue;
+            p.conn->place(p.reply, [&](std::string& out) {
+                out += "err ";
+                out += std::to_string(p.id);
+                out += ' ';
+                out += line_errors_[i];
+                out += '\n';
+            });
+            continue;
+        }
+        const std::size_t q = k++;
+        if (next_cold < cold.size() && cold[next_cold] == q) {
+            ++next_cold;
+            if (p.conn->fd >= 0)
+                submit_to_lane(LaneJob{queries_[q], false}, std::move(p));
+            continue;
+        }
+        if (p.conn->fd < 0) continue;  // disconnected while queued
+        p.conn->place(p.reply, [&](std::string& out) {
+            append_result_line(out, p.id, results_[q]);
+            out += '\n';
+        });
+    }
+    served.add(static_cast<long long>(parsed - cold.size()));
+    batch_.clear();
+    // ONE flush per connection for the whole batch (answers were only
+    // placed above); this also closes half-closed peers whose last
     // responses just materialized.
     for (std::size_t i = conns_.size(); i > 0; --i) {
         const std::shared_ptr<Conn> conn = conns_[i - 1];
-        if (!conn->drained() || conn->eof) try_flush(conn);
+        if (conn->buffered() != conn->counted || conn->eof) try_flush(conn);
     }
+}
+
+void NetServer::submit_to_lane(LaneJob job, Pending route) {
+    static obs::Counter& deferred = obs::counter("net.deferred");
+    static obs::Gauge& depth = obs::gauge("net.cold_queue_depth");
+    if (!job.reload) {
+        ++deferred_;
+        deferred.add();
+    }
+    lane_routes_.push_back(std::move(route));
+    depth.set(static_cast<long long>(lane_routes_.size()));
+    {
+        MutexLock lock(lane_mutex_);
+        lane_jobs_.push_back(std::move(job));
+    }
+    lane_cv_.notify_one();
+}
+
+void NetServer::collect_lane() {
+    static obs::Counter& served = obs::counter("net.served");
+    static obs::Gauge& depth = obs::gauge("net.cold_queue_depth");
+    std::vector<LaneDone> done;
+    {
+        MutexLock lock(lane_mutex_);
+        done.swap(lane_done_);
+    }
+    for (LaneDone& d : done) {
+        const Pending route = std::move(lane_routes_.front());
+        lane_routes_.pop_front();
+        const bool query = route.id != 0;
+        if (query) {
+            --deferred_;
+            served.add();
+        }
+        if (!route.conn) {
+            poll_reload_queued_ = false;
+            continue;
+        }
+        if (route.conn->fd < 0) continue;  // disconnected meanwhile
+        route.conn->place(route.reply, [&](std::string& out) {
+            if (query)
+                append_result_line(out, route.id, d.result);
+            else
+                out += d.reload_reply;
+            out += '\n';
+        });
+        try_flush(route.conn);
+    }
+    depth.set(static_cast<long long>(lane_routes_.size()));
+}
+
+// Condition-variable wait: the lock travels through std::unique_lock, which
+// the thread-safety analysis cannot follow (see ThreadPool::worker_loop).
+void NetServer::lane_loop() MCSM_NO_THREAD_SAFETY_ANALYSIS {
+    std::vector<LaneJob> jobs;
+    std::vector<serve::TimingQuery> queries;
+    for (;;) {
+        {
+            std::unique_lock<Mutex> lock(lane_mutex_);
+            lane_cv_.wait(lock,
+                          [this] { return lane_stop_ || !lane_jobs_.empty(); });
+            if (lane_jobs_.empty()) return;  // stopping, nothing left
+            jobs.swap(lane_jobs_);
+        }
+        // Everything queued runs as one blocking batch; pack refreshes
+        // follow it.
+        queries.clear();
+        for (LaneJob& job : jobs)
+            if (!job.reload) queries.push_back(std::move(job.query));
+        std::vector<serve::TimingResult> results;
+        if (!queries.empty()) {
+            try {
+                results = service_->run_batch(queries);
+            } catch (const std::exception& e) {
+                results.assign(queries.size(), serve::TimingResult{});
+                for (serve::TimingResult& r : results) r.error = e.what();
+            }
+        }
+        std::vector<LaneDone> done(jobs.size());
+        for (std::size_t j = 0, k = 0; j < jobs.size(); ++j) {
+            if (!jobs[j].reload) {
+                done[j].result = std::move(results[k++]);
+                continue;
+            }
+            bool swapped = false;
+            try {
+                swapped = options_.pack->refresh();
+            } catch (const std::exception&) {
+                // A failed refresh keeps the current mapping serving.
+            }
+            if (swapped) obs::counter("net.reloads").add();
+            done[j].reload_reply = swapped ? "reload ok " : "reload noop ";
+            done[j].reload_reply += std::to_string(options_.pack->generation());
+        }
+        jobs.clear();
+        {
+            MutexLock lock(lane_mutex_);
+            for (LaneDone& d : done) lane_done_.push_back(std::move(d));
+        }
+        const std::uint64_t one = 1;
+        [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+    }
+}
+
+void NetServer::handle_lines(const std::shared_ptr<Conn>& conn) {
+    std::size_t start = 0;
+    while (conn->fd >= 0) {
+        if (conn->buffered() > output_bound_) {
+            // The client is not reading its replies: take no more of its
+            // lines until they drained (try_flush resumes it).
+            conn->paused = true;
+            update_epoll(*conn);
+            break;
+        }
+        const std::size_t nl = conn->in.find('\n', start);
+        // The cap holds for every line, terminated or not, so the outcome
+        // never depends on how the kernel split the bytes. Past it the
+        // framing cannot be trusted and there is no way to resync: tell
+        // the peer, ahead of any reply still owed, and hang up.
+        const std::size_t end =
+            nl == std::string::npos ? conn->in.size() : nl;
+        if (end - start > options_.max_line) {
+            conn->out += "err 0 line too long\n";
+            try_flush(conn);
+            close_conn(conn);
+            return;
+        }
+        if (nl == std::string::npos) break;
+        std::string_view line(conn->in.data() + start, nl - start);
+        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+        start = nl + 1;
+        handle_line(conn, line);
+    }
+    conn->in.erase(0, start);
 }
 
 void NetServer::conn_readable(const std::shared_ptr<Conn>& conn) {
     char buf[16384];
+    handle_lines(conn);  // lines left over from a pause
     for (;;) {
-        if (conn->fd < 0) return;
+        if (conn->fd < 0 || conn->paused) return;
         const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
         if (n > 0) {
             conn->in.append(buf, static_cast<std::size_t>(n));
-            std::size_t start = 0;
-            for (;;) {
-                const std::size_t nl = conn->in.find('\n', start);
-                // The cap holds for every line, terminated or not, so the
-                // outcome never depends on how the kernel split the bytes.
-                // Past it the framing cannot be trusted and there is no way
-                // to resync: tell the peer and hang up.
-                const std::size_t end =
-                    nl == std::string::npos ? conn->in.size() : nl;
-                if (end - start > options_.max_line) {
-                    respond(conn, "err 0 line too long");
-                    close_conn(conn);
-                    return;
-                }
-                if (nl == std::string::npos) break;
-                std::string_view line(conn->in.data() + start, nl - start);
-                if (!line.empty() && line.back() == '\r')
-                    line.remove_suffix(1);
-                start = nl + 1;
-                handle_line(conn, line);
-                if (conn->fd < 0) return;
-            }
-            conn->in.erase(0, start);
+            handle_lines(conn);
             continue;
         }
         if (n == 0) {
@@ -396,6 +632,21 @@ int NetServer::loop_timeout_ms() const {
 }
 
 void NetServer::run() {
+    // The cold lane lives exactly as long as run(): joined on every way
+    // out, after it answered everything queued.
+    lane_ = std::thread([this] { lane_loop(); });
+    struct LaneJoin {
+        NetServer* server;
+        ~LaneJoin() {
+            {
+                MutexLock lock(server->lane_mutex_);
+                server->lane_stop_ = true;
+            }
+            server->lane_cv_.notify_all();
+            server->lane_.join();
+        }
+    } lane_join{this};
+
     next_reload_ = std::chrono::steady_clock::now() +
                    std::chrono::milliseconds(options_.reload_poll_ms);
     epoll_event events[64];
@@ -412,6 +663,7 @@ void NetServer::run() {
                 std::uint64_t drain = 0;
                 [[maybe_unused]] const ssize_t r =
                     ::read(wake_fd_, &drain, sizeof drain);
+                collect_lane();
                 continue;
             }
             if (ev.data.ptr == &unix_fd_ || ev.data.ptr == &tcp_fd_) {
@@ -430,7 +682,9 @@ void NetServer::run() {
             if (ev.events & (EPOLLHUP | EPOLLERR)) {
                 conn->eof = true;
                 conn_readable(conn);  // drain what the kernel still has
-                if (conn->fd >= 0 && conn->drained()) close_conn(conn);
+                // A paused peer that hung up will never read its backlog.
+                if (conn->fd >= 0 && (conn->drained() || conn->paused))
+                    close_conn(conn);
                 continue;
             }
             if (ev.events & EPOLLIN) conn_readable(conn);
@@ -441,14 +695,33 @@ void NetServer::run() {
             run_pending_batch();
         if (options_.pack && options_.reload_poll_ms > 0 &&
             now >= next_reload_) {
-            if (options_.pack->refresh()) obs::counter("net.reloads").add();
+            if (!poll_reload_queued_) {
+                poll_reload_queued_ = true;
+                submit_to_lane(LaneJob{{}, true}, Pending{});
+            }
             next_reload_ =
                 now + std::chrono::milliseconds(options_.reload_poll_ms);
         }
+        while (!resumed_.empty()) {
+            std::vector<std::shared_ptr<Conn>> ready;
+            ready.swap(resumed_);
+            for (const std::shared_ptr<Conn>& conn : ready)
+                conn_readable(conn);
+        }
     }
-    // Graceful wind-down: answer what was already submitted, push the
-    // bytes out best-effort, then let the destructor close everything.
+    // Graceful wind-down: answer what was already submitted, the cold
+    // lane's share included, push the bytes out best-effort, then let the
+    // destructor close everything.
     run_pending_batch();
+    while (!lane_routes_.empty()) {
+        pollfd wake{wake_fd_, POLLIN, 0};
+        if (::poll(&wake, 1, -1) < 0 && errno != EINTR)
+            throw ModelError("NetServer: poll failed");
+        std::uint64_t drain = 0;
+        [[maybe_unused]] const ssize_t r =
+            ::read(wake_fd_, &drain, sizeof drain);
+        collect_lane();
+    }
     for (std::size_t i = conns_.size(); i > 0; --i) try_flush(conns_[i - 1]);
 }
 

@@ -194,6 +194,11 @@ void ModelRepository::put(const ModelKey& key, core::CsmModel model) {
     persist(key, *ptr);
 }
 
+std::shared_ptr<const core::CsmModel> ModelRepository::find(
+    const ModelKey& key) const {
+    return cache_.find(key.to_string());
+}
+
 bool ModelRepository::cached(const ModelKey& key) const {
     return cache_.ready(key.to_string());
 }

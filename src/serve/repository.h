@@ -122,7 +122,10 @@ public:
     // miss).
     void put(const ModelKey& key, core::CsmModel model);
 
-    // True when `key` is resident in memory (not merely on disk).
+    // The model for `key` when it is resident in memory (not merely on
+    // disk), else null. Never loads, characterizes, waits or counts.
+    std::shared_ptr<const core::CsmModel> find(const ModelKey& key) const;
+    // True when `key` is resident in memory.
     bool cached(const ModelKey& key) const;
     std::size_t cached_count() const;
 

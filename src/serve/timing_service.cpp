@@ -4,7 +4,6 @@
 #include <cmath>
 #include <filesystem>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.h"
@@ -132,24 +131,29 @@ TimingService::TimingService(ModelRepository& repo, ServeOptions options)
 }
 
 void TimingService::validate(const TimingQuery& q) {
+    // Messages that carry query values are built only on failure: a valid
+    // query allocates nothing here.
     require(!q.cell.empty(), "TimingQuery: empty cell name");
-    require(q.pins.size() >= 1 && q.pins.size() <= kMaxPins,
-            "TimingQuery: need 1 to 3 switching pins, got " +
-                std::to_string(q.pins.size()));
+    if (q.pins.size() < 1 || q.pins.size() > kMaxPins)
+        throw ModelError("TimingQuery: need 1 to 3 switching pins, got " +
+                         std::to_string(q.pins.size()));
     for (std::size_t p = 0; p < q.pins.size(); ++p) {
         require(!q.pins[p].empty(), "TimingQuery: empty pin name");
         for (std::size_t r = p + 1; r < q.pins.size(); ++r)
-            require(q.pins[p] != q.pins[r],
-                    "TimingQuery: duplicate switching pin " + q.pins[p]);
+            if (q.pins[p] == q.pins[r])
+                throw ModelError("TimingQuery: duplicate switching pin " +
+                                 q.pins[p]);
     }
-    require(q.slews.size() == q.pins.size(),
+    if (q.slews.size() != q.pins.size())
+        throw ModelError(
             "TimingQuery: need one input slew per switching pin (" +
-                std::to_string(q.pins.size()) + " pins, " +
-                std::to_string(q.slews.size()) + " slews)");
-    require(q.skews.empty() || q.skews.size() == q.pins.size(),
+            std::to_string(q.pins.size()) + " pins, " +
+            std::to_string(q.slews.size()) + " slews)");
+    if (!q.skews.empty() && q.skews.size() != q.pins.size())
+        throw ModelError(
             "TimingQuery: skews must be empty or one per switching pin (" +
-                std::to_string(q.pins.size()) + " pins, " +
-                std::to_string(q.skews.size()) + " skews)");
+            std::to_string(q.pins.size()) + " pins, " +
+            std::to_string(q.skews.size()) + " skews)");
     for (double s : q.slews)
         require(std::isfinite(s) && s > 0.0,
                 "TimingQuery: input slews must be positive and finite");
@@ -323,6 +327,20 @@ TimingService::SurfacePtr TimingService::adopt_surface(
     return surface;
 }
 
+TimingService::SurfacePtr TimingService::pack_surface(
+    const std::string& id, const ModelKey& key,
+    const std::vector<lut::Axis>& axes) {
+    // The served pack is checked against its own model entry, so it needs
+    // no model fetch (which could trigger characterization): a pack is a
+    // consistent snapshot or it is ignored entry-by-entry.
+    if (!options_.pack) return nullptr;
+    std::shared_ptr<const MappedPack> pack = options_.pack->current();
+    const std::uint64_t check = pack->model_check(key.to_string());
+    SurfacePtr s = adopt_surface(std::move(pack), id, check, axes);
+    if (s) obs::counter("serve.surface.pack_loads").add();
+    return s;
+}
+
 TimingService::SurfacePtr TimingService::build_surface(
     const TimingQuery& q) {
     const std::string id = arc_id(q);
@@ -331,18 +349,8 @@ TimingService::SurfacePtr TimingService::build_surface(
     const ModelKey key = ModelKey::arc(q.cell, q.pins, q.corner);
 
     // Both persisted sources are mappings: serve TableViews pointing
-    // straight into them -- no parse, no copy. The served pack is checked
-    // against its own model entry, so it needs no model fetch (which could
-    // trigger characterization): a pack is a consistent snapshot or it is
-    // ignored entry-by-entry.
-    if (options_.pack) {
-        std::shared_ptr<const MappedPack> pack = options_.pack->current();
-        const std::uint64_t check = pack->model_check(key.to_string());
-        if (SurfacePtr s = adopt_surface(std::move(pack), id, check, axes)) {
-            obs::counter("serve.surface.pack_loads").add();
-            return s;
-        }
-    }
+    // straight into them -- no parse, no copy.
+    if (SurfacePtr s = pack_surface(id, key, axes)) return s;
 
     const std::shared_ptr<const core::CsmModel> model = repo_->get(key);
     const std::uint64_t model_check = model_checksum(*model);
@@ -502,6 +510,19 @@ TimingService::SurfacePtr TimingService::surface_for(const TimingQuery& q) {
     return surface;
 }
 
+TimingService::SurfacePtr TimingService::resident_surface(
+    const TimingQuery& q) {
+    const std::string id = arc_id(q);
+    const std::string key = surface_cache_key(id);
+    if (SurfacePtr s = surfaces_.find(key)) return s;
+    // A surface the served pack holds is a lookup in a mapping, not a
+    // build: adopt it here. Anything else is left to a producing caller.
+    SurfacePtr s = pack_surface(id, ModelKey::arc(q.cell, q.pins, q.corner),
+                                surface_axes(q.pins.size()));
+    if (s) surfaces_.put(key, s);
+    return s;
+}
+
 double TimingService::effective_cap(const ArcSurface& surface,
                                     const TimingQuery& q,
                                     std::vector<double>& coords) const {
@@ -613,6 +634,19 @@ TimingResult TimingService::eval_lut(const ArcSurface& surface,
 
 std::vector<TimingResult> TimingService::run_batch(
     std::span<const TimingQuery> queries) {
+    std::vector<TimingResult> results;
+    run_phases(queries, results, /*produce=*/true);
+    return results;
+}
+
+std::vector<std::size_t> TimingService::run_resident(
+    std::span<const TimingQuery> queries, std::vector<TimingResult>& results) {
+    return run_phases(queries, results, /*produce=*/false);
+}
+
+std::vector<std::size_t> TimingService::run_phases(
+    std::span<const TimingQuery> queries, std::vector<TimingResult>& results,
+    bool produce) {
     static obs::Counter& batches = obs::counter("serve.batches");
     static obs::Counter& lut_queries = obs::counter("serve.query.lut");
     static obs::Counter& exact_queries = obs::counter("serve.query.exact");
@@ -620,10 +654,12 @@ std::vector<TimingResult> TimingService::run_batch(
     static obs::Histogram& batch_ns = obs::histogram("serve.batch_ns");
     static obs::Histogram& lut_ns = obs::histogram("serve.query.lut_ns");
     static obs::Histogram& exact_ns = obs::histogram("serve.query.exact_ns");
-    const obs::Span batch_span("serve.run_batch");
+    const obs::Span batch_span(produce ? "serve.run_batch"
+                                       : "serve.run_resident");
     const obs::ScopedLatency batch_latency(batch_ns);
     batches.add();
-    std::vector<TimingResult> results(queries.size());
+    results.clear();
+    results.resize(queries.size());
 
     // Phase 1: warm every distinct arc once (surface or model), so the
     // per-query phase interpolates instead of serializing on single-flight
@@ -632,38 +668,46 @@ std::vector<TimingResult> TimingService::run_batch(
     // building arcs concurrently with one inline-running worker each.
     // A failed warm-up is recorded and short-circuits every query on that
     // arc below -- one build attempt per arc per batch, not per query (the
-    // next run_batch retries, preserving the never-cache-failures
-    // contract).
-    std::unordered_map<std::string, std::string> failed;
-    {
-        std::unordered_set<std::string> seen;
-        for (const TimingQuery& q : queries) {
-            try {
-                validate(q);
-            } catch (const std::exception&) {
-                continue;  // phase 2 reports it on the right result
-            }
-            const bool lut = !(q.exact || q.want_waveform);
-            const std::string warm_id = (lut ? "S|" : "M|") + arc_id(q);
-            if (!seen.insert(warm_id).second) continue;
-            try {
-                if (lut)
-                    surface_for(q);
-                else
-                    repo_->get(ModelKey::arc(q.cell, q.pins, q.corner));
-            } catch (const std::exception& e) {
-                failed.emplace(warm_id, e.what());
-            }
+    // next batch retries, preserving the never-cache-failures contract).
+    // Without `produce` an arc is only looked up, and one that is not
+    // resident is recorded as cold: its queries are left for a caller that
+    // may block.
+    struct ArcState {
+        bool cold = false;
+        std::string error;  // failed production (produce only)
+    };
+    std::unordered_map<std::string, ArcState> arcs;
+    const auto warm_id = [](const TimingQuery& q) {
+        std::string id = q.exact || q.want_waveform ? "M|" : "S|";
+        id += arc_id(q);
+        return id;
+    };
+    for (const TimingQuery& q : queries) {
+        try {
+            validate(q);
+        } catch (const std::exception&) {
+            continue;  // phase 2 reports it on the right result
+        }
+        const auto [it, fresh] = arcs.try_emplace(warm_id(q));
+        if (!fresh) continue;
+        const bool lut = !(q.exact || q.want_waveform);
+        const ModelKey key = ModelKey::arc(q.cell, q.pins, q.corner);
+        try {
+            if (!produce)
+                it->second.cold =
+                    lut ? !resident_surface(q) : !repo_->find(key);
+            else if (lut)
+                surface_for(q);
+            else
+                repo_->get(key);
+        } catch (const std::exception& e) {
+            it->second.error = e.what();
         }
     }
 
-    const auto failure_of = [&](const TimingQuery& q) -> const std::string* {
-        const bool lut = !(q.exact || q.want_waveform);
-        const auto it = failed.find((lut ? "S|" : "M|") + arc_id(q));
-        return it == failed.end() ? nullptr : &it->second;
-    };
-
-    // Phase 2: evaluate every query independently.
+    // Phase 2: evaluate every query independently. A query left unanswered
+    // (cold arc, or one evicted since phase 1) is flagged in `left`.
+    std::vector<char> left(queries.size(), 0);
     parallel_for(
         queries.size(),
         [&](std::size_t i) {
@@ -672,18 +716,35 @@ std::vector<TimingResult> TimingService::run_batch(
             const std::uint64_t t0 = obs::now_ns();
             try {
                 validate(q);
-                if (const std::string* error = failure_of(q)) {
-                    results[i].error = *error;
+                const ArcState& arc = arcs.at(warm_id(q));
+                if (arc.cold) {
+                    left[i] = 1;
+                    return;
+                }
+                if (!arc.error.empty()) {
+                    results[i].error = arc.error;
                     return;
                 }
                 if (q.exact || q.want_waveform) {
-                    const auto model = repo_->get(
-                        ModelKey::arc(q.cell, q.pins, q.corner));
+                    const ModelKey key =
+                        ModelKey::arc(q.cell, q.pins, q.corner);
+                    const auto model =
+                        produce ? repo_->get(key) : repo_->find(key);
+                    if (!model) {
+                        left[i] = 1;
+                        return;
+                    }
                     results[i] = eval_transient(*model, q);
                     exact_queries.add();
                     exact_ns.observe(static_cast<double>(obs::now_ns() - t0));
                 } else {
-                    results[i] = eval_lut(*surface_for(q), q);
+                    const SurfacePtr surface =
+                        produce ? surface_for(q) : resident_surface(q);
+                    if (!surface) {
+                        left[i] = 1;
+                        return;
+                    }
+                    results[i] = eval_lut(*surface, q);
                     lut_queries.add();
                     lut_ns.observe(static_cast<double>(obs::now_ns() - t0));
                 }
@@ -694,7 +755,10 @@ std::vector<TimingResult> TimingService::run_batch(
             if (!results[i].error.empty()) query_errors.add();
         },
         options_.threads);
-    return results;
+    std::vector<std::size_t> unanswered;
+    for (std::size_t i = 0; i < queries.size(); ++i)
+        if (left[i]) unanswered.push_back(i);
+    return unanswered;
 }
 
 TimingResult TimingService::run_one(const TimingQuery& query) {

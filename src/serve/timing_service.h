@@ -149,8 +149,24 @@ public:
 
     // Executes the batch over the shared thread pool; results come back in
     // query order. Per-query failures land in TimingResult::error instead
-    // of aborting the batch.
+    // of aborting the batch. Characterizes models and builds surfaces on
+    // miss, so a cold arc can block for seconds.
     std::vector<TimingResult> run_batch(std::span<const TimingQuery> queries);
+
+    // Non-blocking counterpart of run_batch, sharing its two phases: looks
+    // up each distinct arc once without producing it (no characterization,
+    // no surface build, no store file read, no wait on a production),
+    // answers every invalid query and every query whose surface (LUT) or
+    // model (exact) is already resident, and returns the ascending indices
+    // of the queries it left unanswered. A LUT surface the served pack
+    // holds counts as resident: it is adopted on the spot, which counts
+    // serve.surface.pack_loads; no other serve.surface.* or serve.model.*
+    // counter moves. A model the pack holds but nobody fetched yet is not
+    // resident (materializing copies and audits its tables). `results` is
+    // resized to the batch; the entries at the returned indices stay
+    // default. Answers equal run_batch's bit for bit.
+    std::vector<std::size_t> run_resident(std::span<const TimingQuery> queries,
+                                          std::vector<TimingResult>& results);
 
     TimingResult run_one(const TimingQuery& query);
 
@@ -224,6 +240,14 @@ private:
     };
     using SurfacePtr = std::shared_ptr<const ArcSurface>;
 
+    // run_batch (`produce`) and run_resident: phase 1 produces (or only
+    // looks up) each distinct arc once, phase 2 evaluates every query whose
+    // arc is resident. Returns the indices of the queries left unanswered
+    // (never any with `produce`).
+    std::vector<std::size_t> run_phases(std::span<const TimingQuery> queries,
+                                        std::vector<TimingResult>& results,
+                                        bool produce);
+
     static void validate(const TimingQuery& query);
     static std::string arc_id(const TimingQuery& query);
     std::string surface_path(const std::string& arc_id) const;
@@ -233,6 +257,14 @@ private:
     // Single-flight lookup/build of the arc surface for `query`.
     SurfacePtr surface_for(const TimingQuery& query);
     SurfacePtr build_surface(const TimingQuery& query);
+    // The surface for `query` when it is cached or the served pack holds
+    // it (adopted and cached on the spot); null otherwise. Never builds,
+    // characterizes, reads a store file or waits on a production.
+    SurfacePtr resident_surface(const TimingQuery& query);
+    // The served pack's surface `id` for model `key`, when the pack holds
+    // a valid one (serve.surface.pack_loads); null otherwise.
+    SurfacePtr pack_surface(const std::string& id, const ModelKey& key,
+                            const std::vector<lut::Axis>& axes);
     // The one acceptance check for persisted surfaces (served pack or
     // surface_dir): serves `pack`'s entry `id` when its arc id, dt,
     // settle, axes and source-model checksum all match; nullptr otherwise.

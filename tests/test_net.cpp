@@ -5,14 +5,20 @@
 // hot reload + generation retirement) and the socket server (concurrent
 // pipelined clients bitwise-identical to in-process batches, control
 // lines, admission, the line-length and connection caps, client-disconnect
-// resilience).
+// resilience, per-connection reply order, the cold lane -- warm answers
+// during a cold build, failed productions, corrupt reloads -- and the
+// bound on a non-reading client's buffered replies).
 #include <gtest/gtest.h>
 
 #include <clocale>
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -671,9 +677,11 @@ struct ServerFixture {
     std::unique_ptr<NetServer> server;
     std::thread loop;
 
-    explicit ServerFixture(const TempDir& dir, NetServerOptions opts = {})
-        : repo(&Shared::get().lib, serve::RepositoryOptions{}),
-          service(repo, small_serve_options()),
+    explicit ServerFixture(const TempDir& dir, NetServerOptions opts = {},
+                           serve::RepositoryOptions ropt = {},
+                           serve::ServeOptions sopt = small_serve_options())
+        : repo(&Shared::get().lib, std::move(ropt)),
+          service(repo, std::move(sopt)),
           nopt(std::move(opts)) {
         repo.put(serve::ModelKey::arc("INV_X1", {"A"}), s.inv);
         repo.put(serve::ModelKey::arc("NOR2", {"A", "B"}), s.nor);
@@ -805,9 +813,12 @@ TEST(NetServer, AdmissionRejectsBeyondMaxPending) {
 
     const std::string q = format_query_line(mixed_query(1));
     cli.send_text(q + "\n" + q + "\n" + q + "\nflush\n");
-    // Query 1 is admitted; 2 and 3 bounce immediately with busy errors;
-    // flush then answers query 1.
+    // Query 1 is admitted; 2 and 3 bounce with busy errors, which keep
+    // their place behind query 1's answer.
     std::uint64_t id = 0;
+    const TimingResult r1 = parse_result_line(cli.recv_line(), id);
+    EXPECT_EQ(id, 1u);
+    EXPECT_TRUE(r1.valid) << r1.error;
     const TimingResult r2 = parse_result_line(cli.recv_line(), id);
     EXPECT_EQ(id, 2u);
     EXPECT_FALSE(r2.valid);
@@ -815,10 +826,35 @@ TEST(NetServer, AdmissionRejectsBeyondMaxPending) {
     const TimingResult r3 = parse_result_line(cli.recv_line(), id);
     EXPECT_EQ(id, 3u);
     EXPECT_FALSE(r3.valid);
+    EXPECT_EQ(net_count("net.rejected") - rejected0, 2);
+}
+
+TEST(NetServer, EveryReplyLeavesInRequestOrder) {
+    // A malformed line, a busy rejection and a ping, each behind a query
+    // that is still pending: every reply waits for the answers before it.
+    TempDir dir("order");
+    NetServerOptions opts;
+    opts.max_pending = 2;
+    opts.batch_max = 1024;
+    opts.linger_us = 1000000;  // only "flush" executes the batch
+    ServerFixture fx(dir, opts);
+    LineClient cli = LineClient::connect_unix(fx.nopt.unix_path);
+    const std::string q = format_query_line(mixed_query(0));
+    // The malformed line waits in the batch too (lines parse when their
+    // batch runs), so the second query is the one over max_pending.
+    cli.send_text(q + "\nINV_X1 A sideways 50 0 3\n" + q +
+                  "\nping\nflush\n");
+    std::uint64_t id = 0;
     const TimingResult r1 = parse_result_line(cli.recv_line(), id);
     EXPECT_EQ(id, 1u);
     EXPECT_TRUE(r1.valid) << r1.error;
-    EXPECT_EQ(net_count("net.rejected") - rejected0, 2);
+    const TimingResult r2 = parse_result_line(cli.recv_line(), id);
+    EXPECT_EQ(id, 2u);
+    EXPECT_NE(r2.error.find("rise|fall"), std::string::npos) << r2.error;
+    const TimingResult r3 = parse_result_line(cli.recv_line(), id);
+    EXPECT_EQ(id, 3u);
+    EXPECT_NE(r3.error.find("busy"), std::string::npos) << r3.error;
+    EXPECT_EQ(cli.recv_line(), "pong");
 }
 
 TEST(NetServer, OverLongLineClosesTheConnection) {
@@ -897,6 +933,383 @@ TEST(NetServer, ReloadCommandSwapsThePackGeneration) {
     w2.write(pack_path);
     EXPECT_EQ(cli.request("reload"), "reload ok 2");
     EXPECT_EQ(host->generation(), 2u);
+}
+
+// --- cold lane ------------------------------------------------------------
+//
+// A FIFO standing where a production expects a store file parks that
+// production in open() until the test releases it: a cold build held open
+// for as long as the test needs, with no sleep deciding the outcome.
+
+// Waits (bounded) until obs instrument `value()` exceeds `floor`: the
+// point where a request has reached the cold lane.
+template <typename Read>
+bool rises_above(long long floor, const Read& value) {
+    for (int ms = 0; ms < 60000; ++ms) {
+        if (value() > floor) return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+}
+
+// True when `fd` has bytes to read within `seconds`.
+bool readable_within(int fd, int seconds) {
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, seconds * 1000) > 0;
+}
+
+// A FIFO at `path`. release() waits (bounded) until a production has it
+// open, then opens and closes the write end: the reader wakes to a file of
+// size 0, too short to be a pack. (Nothing is written: the reader may have
+// closed its end already, and a write would raise SIGPIPE.) A gate still
+// closed when it goes out of scope is released then, so a failing test
+// never leaves a server parked in open(): declare it after the fixture.
+struct FifoGate {
+    fs::path path;
+    bool released = false;
+
+    explicit FifoGate(fs::path at) : path(std::move(at)) {
+        EXPECT_EQ(::mkfifo(path.c_str(), 0600), 0) << path;
+    }
+    ~FifoGate() {
+        if (!released) release();
+    }
+
+    // False when no reader came within two minutes.
+    bool release() {
+        for (int tries = 0; tries < 12000; ++tries) {
+            const int fd =
+                ::open(path.c_str(), O_WRONLY | O_NONBLOCK | O_CLOEXEC);
+            if (fd >= 0) {
+                ::close(fd);
+                released = true;
+                return true;
+            }
+            if (errno != ENXIO) return false;  // ENXIO: no reader yet
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        return false;
+    }
+};
+
+// Characterize-on-miss at grids small enough for a sanitizer build, and
+// 3-pin surfaces of 2^6 knots.
+serve::RepositoryOptions small_char_options() {
+    serve::RepositoryOptions ropt;
+    ropt.char_options = fast_options();
+    ropt.char_options_mis3.grid_points = 4;
+    ropt.char_options_mis3.cin_points = 5;
+    return ropt;
+}
+
+serve::ServeOptions small_mis3_options() {
+    serve::ServeOptions sopt = small_serve_options();
+    sopt.slew_knots_mis3 = {30e-12, 200e-12};
+    sopt.skew_knots_mis3 = {-1.0, 1.0};
+    sopt.skew_pair_knots_mis3 = {-1.0, 1.0};
+    sopt.load_knots_mis3 = {1e-15, 16e-15};
+    return sopt;
+}
+
+// Warm LUT lines over every arc the fixture models (INV_X1 and NOR2, both
+// directions), then a flush.
+std::string warm_lines() {
+    std::string text;
+    for (std::size_t i = 0; i < 4; ++i) {
+        text += format_query_line(mixed_query(i));
+        text += '\n';
+    }
+    return text + "flush\n";
+}
+
+// Reads warm_lines()' replies: four LUT answers with ids from `first`.
+void expect_warm_replies(LineClient& cli, std::uint64_t first) {
+    for (std::uint64_t k = first; k < first + 4; ++k) {
+        std::uint64_t id = 0;
+        const TimingResult r = parse_result_line(cli.recv_line(), id);
+        EXPECT_EQ(id, k);
+        EXPECT_TRUE(r.valid) << r.error;
+        EXPECT_EQ(r.path, serve::ResultPath::kLut);
+    }
+}
+
+TEST(NetServer, WarmAnswersArriveWhileAColdBuildRuns) {
+    TempDir dir("coldlane");
+    const fs::path surfaces = dir.path / "surfaces";
+    fs::create_directories(surfaces);
+    serve::ServeOptions sopt = small_mis3_options();
+    sopt.surface_dir = surfaces.string();
+    ServerFixture fx(dir, {}, small_char_options(), sopt);
+
+    LineClient warm = LineClient::connect_unix(fx.nopt.unix_path);
+    warm.send_text(warm_lines());  // builds the warm surfaces
+    expect_warm_replies(warm, 1);
+    const long long deferred0 = net_count("net.deferred");
+
+    // A fresh-corner NAND3 miss: it characterizes a 6-D model, then its
+    // surface build parks on a FIFO under the arc's store file name (arc
+    // id NAND3|A-B-C|R|1.05V70C, '|' -> '.').
+    FifoGate gate(surfaces / "NAND3.A-B-C.R.1.05V70C.mcsmpack");
+    LineClient cold = LineClient::connect_unix(fx.nopt.unix_path);
+    cold.send_text(
+        "NAND3 A,B,C rise 60,80,100 0,20,40 4 vdd=1.05 temp=70\nflush\n");
+    EXPECT_TRUE(rises_above(deferred0, [] {
+        return net_count("net.deferred");
+    })) << "the cold query never reached the cold lane";
+
+    warm.send_text(warm_lines());
+    const bool served = readable_within(warm.fd(), 60);
+    EXPECT_TRUE(served) << "warm queries waited behind a cold build";
+    if (served) {
+        expect_warm_replies(warm, 5);
+        EXPECT_EQ(warm.request("ping"), "pong");
+        // The cold answer cannot exist yet: its build is parked.
+        EXPECT_FALSE(readable_within(cold.fd(), 0));
+        EXPECT_EQ(net_count("net.deferred") - deferred0, 1);
+    }
+
+    // Released, the unreadable surface file is rebuilt from transients.
+    ASSERT_TRUE(gate.release());
+    ASSERT_TRUE(readable_within(cold.fd(), 300));
+    std::uint64_t id = 0;
+    const TimingResult r = parse_result_line(cold.recv_line(), id);
+    EXPECT_EQ(id, 1u);
+    EXPECT_TRUE(r.valid) << r.error;
+    EXPECT_EQ(r.path, serve::ResultPath::kLut);
+}
+
+TEST(NetServer, FailedColdProductionAnswersANamedError) {
+    TempDir dir("coldfail");
+    serve::RepositoryOptions ropt = small_char_options();
+    ropt.dir = (dir.path / "models").string();
+    ServerFixture fx(dir, {}, ropt);
+    LineClient warm = LineClient::connect_unix(fx.nopt.unix_path);
+    warm.send_text(warm_lines());
+    expect_warm_replies(warm, 1);
+
+    // The fresh-corner NOR2 model's store file is a FIFO: the lane's model
+    // load parks on it, then finds garbage.
+    FifoGate gate(fx.repo.store_path(serve::ModelKey::arc(
+        "NOR2", {"A", "B"}, serve::Corner{1.05, 70.0})));
+    const long long deferred0 = net_count("net.deferred");
+    LineClient cold = LineClient::connect_unix(fx.nopt.unix_path);
+    cold.send_text("NOR2 A,B fall 80,95 0,-30 6 vdd=1.05 temp=70\nflush\n");
+    ASSERT_TRUE(rises_above(deferred0, [] {
+        return net_count("net.deferred");
+    })) << "the cold query never reached the cold lane";
+
+    warm.send_text(warm_lines());
+    ASSERT_TRUE(readable_within(warm.fd(), 60))
+        << "warm queries waited behind a cold production";
+    expect_warm_replies(warm, 5);
+
+    ASSERT_TRUE(gate.release());
+    ASSERT_TRUE(readable_within(cold.fd(), 300));
+    const std::string answer = cold.recv_line();
+    EXPECT_EQ(answer.rfind("err 1 ", 0), 0u) << answer;
+    EXPECT_NE(answer.find("too small to be a pack"), std::string::npos)
+        << answer;
+    EXPECT_NE(answer.find(gate.path.filename().string()), std::string::npos)
+        << answer;
+
+    // The failure is not cached and costs nobody else an answer.
+    warm.send_text(warm_lines());
+    expect_warm_replies(warm, 9);
+}
+
+// warm_lines()' queries, and their answers off a pack that holds their
+// models and surfaces.
+struct PackedBatch {
+    std::string text;
+    std::vector<TimingResult> want;
+};
+
+// Builds a store for warm_lines()' arcs under `dir` and bundles it into the
+// pack `pack_path`.
+PackedBatch pack_warm_batch(const TempDir& dir, const fs::path& pack_path) {
+    const Shared& s = Shared::get();
+    const fs::path models = dir.path / "models";
+    const fs::path surfaces = dir.path / "surfaces";
+    // The socket answers the parsed lines, which may differ from the
+    // formatted queries by an ULP: the reference batch is the parsed one.
+    PackedBatch packed;
+    std::vector<TimingQuery> batch(4);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const std::string line = format_query_line(mixed_query(i));
+        EXPECT_TRUE(parse_query_line(line, batch[i]));
+        packed.text += line;
+        packed.text += '\n';
+    }
+    packed.text += "flush\n";
+    serve::RepositoryOptions ropt;
+    ropt.dir = models.string();
+    serve::ModelRepository repo(&s.lib, ropt);
+    repo.put(serve::ModelKey::arc("INV_X1", {"A"}), s.inv);
+    repo.put(serve::ModelKey::arc("NOR2", {"A", "B"}), s.nor);
+    serve::ServeOptions sopt = small_serve_options();
+    sopt.surface_dir = surfaces.string();
+    serve::TimingService service(repo, sopt);
+    packed.want = service.run_batch(batch);
+    serve::pack_from_dirs(models.string(), surfaces.string())
+        .write(pack_path.string());
+    return packed;
+}
+
+// Reads the answers to a PackedBatch's text: ids from `next_id` on, bitwise
+// equal to its reference answers.
+void expect_packed_answers(LineClient& cli, const PackedBatch& packed,
+                           std::uint64_t& next_id) {
+    for (const TimingResult& expect : packed.want) {
+        std::uint64_t id = 0;
+        const TimingResult got = parse_result_line(cli.recv_line(), id);
+        EXPECT_EQ(id, next_id++);
+        ASSERT_TRUE(got.valid) << got.error;
+        EXPECT_EQ(bits(got.delay), bits(expect.delay));
+        EXPECT_EQ(bits(got.slew), bits(expect.slew));
+    }
+}
+
+TEST(NetServer, PackSurfacesAreServedWhileAColdProductionHoldsTheLane) {
+    TempDir dir("packwarm");
+    const fs::path pack_path = dir.path / "p.mcsmpack";
+    const PackedBatch packed = pack_warm_batch(dir, pack_path);
+    const auto host = std::make_shared<serve::PackHost>(pack_path.string());
+    NetServerOptions nopt;
+    nopt.pack = host;
+    serve::RepositoryOptions ropt = small_char_options();
+    ropt.pack = host;
+    ropt.dir = (dir.path / "store").string();
+    serve::ServeOptions sopt = small_serve_options();
+    sopt.pack = host;
+    ServerFixture fx(dir, nopt, ropt, sopt);
+
+    // A fresh-corner NOR2 model load parks the lane on a FIFO.
+    FifoGate gate(fx.repo.store_path(serve::ModelKey::arc(
+        "NOR2", {"A", "B"}, serve::Corner{1.05, 70.0})));
+    const long long deferred0 = net_count("net.deferred");
+    const long long pack_loads0 = net_count("serve.surface.pack_loads");
+    LineClient cold = LineClient::connect_unix(fx.nopt.unix_path);
+    cold.send_text("NOR2 A,B fall 80,95 0,-30 6 vdd=1.05 temp=70\nflush\n");
+    ASSERT_TRUE(rises_above(deferred0, [] {
+        return net_count("net.deferred");
+    })) << "the cold query never reached the cold lane";
+
+    // No query touched the pack's surfaces yet: the loop adopts them off
+    // the mapping instead of queueing them behind the parked production.
+    LineClient user = LineClient::connect_unix(fx.nopt.unix_path);
+    user.send_text(packed.text);
+    ASSERT_TRUE(readable_within(user.fd(), 60))
+        << "pack-held arcs waited behind a cold production";
+    std::uint64_t next_id = 1;
+    expect_packed_answers(user, packed, next_id);
+    EXPECT_EQ(net_count("serve.surface.pack_loads") - pack_loads0, 4);
+    EXPECT_EQ(net_count("net.deferred") - deferred0, 1);
+    EXPECT_FALSE(readable_within(cold.fd(), 0));
+
+    ASSERT_TRUE(gate.release());
+    ASSERT_TRUE(readable_within(cold.fd(), 300));
+    const std::string answer = cold.recv_line();
+    EXPECT_EQ(answer.rfind("err 1 ", 0), 0u) << answer;
+}
+
+TEST(NetServer, CorruptPackReloadKeepsServingTheOldMapping) {
+    TempDir dir("badreload");
+    const fs::path pack_path = dir.path / "p.mcsmpack";
+    const PackedBatch packed = pack_warm_batch(dir, pack_path);
+    const auto host = std::make_shared<serve::PackHost>(pack_path.string());
+
+    NetServerOptions nopt;
+    nopt.pack = host;
+    serve::RepositoryOptions ropt;
+    ropt.pack = host;
+    serve::ServeOptions sopt = small_serve_options();
+    sopt.pack = host;
+    ServerFixture fx(dir, nopt, ropt, sopt);
+
+    LineClient user = LineClient::connect_unix(fx.nopt.unix_path);
+    std::uint64_t next_id = 1;
+    user.send_text(packed.text);  // maps the surfaces off the pack
+    expect_packed_answers(user, packed, next_id);
+
+    // A corrupt replacement that arrives slowly: the refresh parks in
+    // open() on the cold lane while the user keeps being served.
+    fs::remove(pack_path);
+    FifoGate gate(pack_path);
+    const obs::Gauge& lane_depth = obs::gauge("net.cold_queue_depth");
+    LineClient admin = LineClient::connect_unix(fx.nopt.unix_path);
+    admin.send_line("reload");
+    ASSERT_TRUE(rises_above(0, [&] { return lane_depth.value(); }))
+        << "the reload never reached the cold lane";
+    user.send_text(packed.text);
+    ASSERT_TRUE(readable_within(user.fd(), 60))
+        << "queries waited behind a pack refresh";
+    expect_packed_answers(user, packed, next_id);
+    ASSERT_TRUE(gate.release());
+    EXPECT_EQ(admin.recv_line(), "reload noop 1");
+
+    // A corrupt regular file gets the same verdict.
+    serve::save_bytes_atomically(pack_path.string(), "garbage, not a pack");
+    EXPECT_EQ(admin.request("reload"), "reload noop 1");
+    user.send_text(packed.text);
+    expect_packed_answers(user, packed, next_id);
+    EXPECT_EQ(host->generation(), 1u);
+}
+
+TEST(NetServer, ClientThatNeverReadsIsPausedAtTheOutputBound) {
+    TempDir dir("bound");
+    NetServerOptions opts;
+    opts.batch_max = 16;
+    opts.max_line = 128;
+    ServerFixture fx(dir, opts);
+    const long long bound = 16 * 128;  // batch_max * max_line
+    const obs::Gauge& buffered = obs::gauge("net.buffered_bytes");
+    {
+        LineClient warm = LineClient::connect_unix(fx.nopt.unix_path);
+        warm.send_text(warm_lines());
+        expect_warm_replies(warm, 1);
+    }
+
+    // Far more replies than the bound and the kernel's socket buffers
+    // hold. The sender blocks once the server stops reading.
+    const std::size_t kQueries = 20000;
+    std::string text;
+    for (std::size_t i = 0; i < kQueries; ++i) {
+        text += format_query_line(mixed_query(i % 4));
+        text += '\n';
+    }
+    text += "flush\n";
+    LineClient hog = LineClient::connect_unix(fx.nopt.unix_path);
+    std::thread sender([&] {
+        try {
+            hog.send_text(text);
+        } catch (const ModelError&) {
+            // The server hung up; the reads below report it.
+        }
+    });
+
+    long long peak = 0;
+    for (int ms = 0; ms < 60000 && peak <= bound; ++ms) {
+        peak = std::max(peak, buffered.value());
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(peak, bound) << "the replies never backed up";
+
+    // Another connection is served meanwhile, and the backlog stays
+    // within one batch of the bound.
+    LineClient other = LineClient::connect_unix(fx.nopt.unix_path);
+    other.send_text(warm_lines());
+    expect_warm_replies(other, 1);
+    peak = std::max(peak, buffered.value());
+    EXPECT_LE(peak, 2 * bound);
+
+    // Once the client reads, every reply arrives, in order.
+    for (std::uint64_t k = 1; k <= kQueries; ++k) {
+        std::uint64_t id = 0;
+        const TimingResult r = parse_result_line(hog.recv_line(), id);
+        ASSERT_EQ(id, k);
+        ASSERT_TRUE(r.valid) << r.error;
+    }
+    sender.join();
 }
 
 }  // namespace

@@ -10,10 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
+#include <future>
+#include <mutex>
 #include <new>
 #include <random>
+#include <thread>
 #include <unordered_set>
 
 #include "cells/library.h"
@@ -520,6 +525,88 @@ TEST(Parallel, ForCoversAllIndicesAndPropagatesErrors) {
         },
         4);
     EXPECT_EQ(total.load(), 64);
+}
+
+TEST(Parallel, CallerFinishesWhileAnotherFanOutHoldsEveryWorker) {
+    // A fan-out with one slot more than the pool has workers parks every
+    // worker (and its own caller) on a latch; its last job is queued, so
+    // jobs submitted after it wait for the latch too.
+    const std::size_t workers = hardware_threads();
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+    std::size_t entered = 0;
+    std::thread blocker([&] {
+        parallel_for(
+            4 * (workers + 1),
+            [&](std::size_t) {
+                std::unique_lock<std::mutex> lock(mutex);
+                ++entered;
+                cv.notify_all();
+                cv.wait(lock, [&] { return open; });
+            },
+            workers + 1);
+    });
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return entered >= workers; });
+    }
+
+    // A second caller's two-slot fan-out: its pool job queues behind the
+    // blocker's, so the caller runs every item itself. Nested calls from
+    // its slot run inline, and a throwing item still reaches the caller.
+    const std::size_t kItems = 8;
+    std::vector<std::thread::id> ran(kItems);
+    std::vector<std::size_t> nested_slots(kItems, 0);
+    std::atomic<int> nested_off_thread{0};
+    bool threw = false;
+    std::promise<void> finished;
+    std::thread caller([&] {
+        parallel_for(
+            kItems,
+            [&](std::size_t i) {
+                ran[i] = std::this_thread::get_id();
+                nested_slots[i] = parallel_slots(4);
+                parallel_for(
+                    3,
+                    [&](std::size_t) {
+                        if (std::this_thread::get_id() != ran[i])
+                            ++nested_off_thread;
+                    },
+                    4);
+            },
+            2);
+        try {
+            parallel_for(
+                kItems,
+                [](std::size_t i) {
+                    if (i == 5) throw NumericalError("item 5");
+                },
+                2);
+        } catch (const NumericalError&) {
+            threw = true;
+        }
+        finished.set_value();
+    });
+    const std::thread::id caller_id = caller.get_id();
+    const bool done = finished.get_future().wait_for(
+                          std::chrono::seconds(30)) ==
+                      std::future_status::ready;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        open = true;
+    }
+    cv.notify_all();
+    caller.join();
+    blocker.join();
+
+    ASSERT_TRUE(done) << "a fan-out waited for workers held by another";
+    for (std::size_t i = 0; i < kItems; ++i) {
+        EXPECT_EQ(ran[i], caller_id) << "item " << i;
+        EXPECT_EQ(nested_slots[i], 1u) << "item " << i;
+    }
+    EXPECT_EQ(nested_off_thread.load(), 0);
+    EXPECT_TRUE(threw);
 }
 
 }  // namespace
